@@ -29,7 +29,7 @@ use ifet_tf::Iatf;
 use ifet_trace::{
     advect, save_pathlines, seed_grid, train_flow_map, ParticleEnding, SurrogateParams, TraceParams,
 };
-use ifet_volume::io::{read_series, write_series_with};
+use ifet_volume::io::{frame_paths, is_frame_file, read_series, write_series_with};
 use ifet_volume::{
     map_frames_windowed, CacheBudget, CacheBudgetHandle, FrameSink, FrameSource, OutOfCoreSeries,
     OutOfCoreSink, SeriesError,
@@ -186,35 +186,6 @@ pub fn parse_band(s: &str) -> Result<(f32, f32), String> {
     Ok((lo, hi))
 }
 
-/// Whether a path looks like a frame file: raw `.raw` or compressed `.rawz`.
-fn is_frame_file(p: &Path) -> bool {
-    p.extension()
-        .map(|x| x == "raw" || x == "rawz")
-        .unwrap_or(false)
-}
-
-/// Sorted data-frame paths of a series directory — raw `.raw` and compressed
-/// `.rawz` frames alike (ground-truth companions written by `generate` are
-/// not data frames and are excluded).
-fn frame_paths(dir: &str) -> Result<Vec<PathBuf>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {dir}: {e}"))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| is_frame_file(p))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .map(|n| !n.contains("_truth"))
-                .unwrap_or(true)
-        })
-        .collect();
-    if paths.is_empty() {
-        return Err(format!("no .raw/.rawz frames in {dir}"));
-    }
-    paths.sort();
-    Ok(paths)
-}
-
 fn load_series(dir: &str) -> Result<TimeSeries, String> {
     read_series(&frame_paths(dir)?).map_err(|e| format!("failed to load series: {e}"))
 }
@@ -283,8 +254,8 @@ fn batch_opt(args: &Args) -> Result<usize, String> {
     args.opt_parse("batch", 0usize)
 }
 
-fn open_ooc(dir: &str, opts: OocOpts) -> Result<OutOfCoreSeries, String> {
-    let paths = frame_paths(dir)?;
+/// Open `paths` as one out-of-core series on a budget of its own.
+fn open_ooc(paths: Vec<PathBuf>, opts: OocOpts) -> Result<OutOfCoreSeries, String> {
     let budget = CacheBudgetHandle::new(opts.budget);
     let open = if opts.mmap {
         OutOfCoreSeries::open_mmap(paths, &budget, opts.prefetch)
@@ -516,7 +487,7 @@ pub fn cmd_track(args: &Args) -> Result<String, String> {
     let dir = args.require("data")?;
     match ooc_budget_opt(args)? {
         Some(opts) => {
-            let series = open_ooc(dir, opts)?;
+            let series = open_ooc(frame_paths(dir)?, opts)?;
             let mut out = cmd_track_impl(args, &series)?;
             out.push_str(&ooc_summary(&series));
             Ok(out)
@@ -736,16 +707,11 @@ pub fn cmd_trace_particles(args: &Args) -> Result<String, String> {
     let [pu, pv, pw] = flow_component_paths(dir)?;
     match ooc_budget_opt(args)? {
         Some(opts) => {
-            let open = |paths: Vec<PathBuf>| -> Result<OutOfCoreSeries, String> {
-                let budget = CacheBudgetHandle::new(opts.budget);
-                let o = if opts.mmap {
-                    OutOfCoreSeries::open_mmap(paths, &budget, opts.prefetch)
-                } else {
-                    OutOfCoreSeries::open_with(paths, &budget, opts.prefetch)
-                };
-                o.map_err(|e| format!("failed to open out-of-core series: {e}"))
-            };
-            let (u, v, w) = (open(pu)?, open(pv)?, open(pw)?);
+            let (u, v, w) = (
+                open_ooc(pu, opts)?,
+                open_ooc(pv, opts)?,
+                open_ooc(pw, opts)?,
+            );
             let mut out = cmd_trace_impl(args, &u, &v, &w)?;
             for (name, s) in [("u", &u), ("v", &v), ("w", &w)] {
                 for line in ooc_summary(s).lines() {
@@ -889,7 +855,7 @@ pub fn cmd_session(args: &Args) -> Result<String, String> {
     let dir = args.require("data")?;
     match ooc_budget_opt(args)? {
         Some(opts) => {
-            let series = open_ooc(dir, opts)?;
+            let series = open_ooc(frame_paths(dir)?, opts)?;
             let mut out = match action {
                 "save" => cmd_session_save(args, &series),
                 "load" => cmd_session_load(args, &series),
@@ -1119,7 +1085,7 @@ pub fn cmd_classify(args: &Args) -> Result<String, String> {
     let dir = args.require("data")?;
     match ooc_budget_opt(args)? {
         Some(opts) => {
-            let series = open_ooc(dir, opts)?;
+            let series = open_ooc(frame_paths(dir)?, opts)?;
             let mut out = cmd_classify_impl(args, &series)?;
             out.push_str(&ooc_summary(&series));
             Ok(out)
@@ -1537,7 +1503,7 @@ fn format_response(args: &Args, body: ifet_serve::ResponseBody) -> Result<String
         }
         ResponseBody::StatsOk(st) => Ok(format!(
             "tenant: sent {}, accepted {}, rejected {}, completed {}, max depth {}\n\
-             batcher: {} jobs in {} cycles, {} MLP rows\n\
+             mlp: {} jobs, {} rows\n\
              paging: {} evictions ({} quota-local, {} idle-preferred)",
             st.sent,
             st.accepted,
@@ -1545,7 +1511,6 @@ fn format_response(args: &Args, body: ifet_serve::ResponseBody) -> Result<String
             st.completed,
             st.max_depth,
             st.batch_jobs,
-            st.batch_cycles,
             st.batch_rows,
             st.evictions,
             st.quota_evictions,
@@ -2391,6 +2356,7 @@ mod tests {
         assert!(msg.contains("voxels above tau"), "{msg}");
         let msg = call(&format!("client report-stats --socket {sock} --tenant 5")).unwrap();
         assert!(msg.contains("accepted 3"), "{msg}");
+        assert!(msg.contains("mlp: 1 jobs, 4096 rows"), "{msg}");
         let msg = call(&format!("client close --socket {sock} --tenant 5")).unwrap();
         assert_eq!(msg, "closed");
 

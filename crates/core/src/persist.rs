@@ -38,7 +38,6 @@ use ifet_volume::maskio::{decode_mask, encode_mask_into, MaskIoError};
 use ifet_volume::{FrameSource, Mask3};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// File magic: first eight bytes of every session artifact.
 pub const SESSION_MAGIC: [u8; 8] = *b"IFETSESS";
@@ -197,24 +196,9 @@ impl From<SnapshotError> for PersistError {
 
 // ---- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ----
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    })
-}
+/// CRC32 of a byte slice: the one table-driven implementation every
+/// CRC-framed format shares (`.ifet` here, `.rawz`, `.plz`, serve frames).
+pub use ifet_volume::codec::crc32;
 
 /// [`crc32`] accumulating elapsed time into `acc_ns` when tracing is active.
 /// Timing is runtime-only information, so the disabled path pays a single
@@ -228,17 +212,6 @@ fn timed_crc32(data: &[u8], acc_ns: &mut u64) -> u32 {
     } else {
         crc32(data)
     }
-}
-
-/// CRC32 of a byte slice (table-driven; the corruption tests sweep every byte
-/// of an artifact, so this must not be the bitwise-loop variant).
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 // ---- Generic container writer / reader ----

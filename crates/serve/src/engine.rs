@@ -9,13 +9,14 @@
 //! bind to the same resident [`SharedSession`] (an `Arc`, enabled by the
 //! `FrameSource for Arc<S>` passthrough). All verbs take `&self` on the
 //! session, so tenants serve concurrently from one copy; a session leaves
-//! memory when the last tenant bound to it closes.
+//! memory, and its resident frames leave the shared budget, when the last
+//! tenant bound to it closes.
 //!
 //! # Fairness and backpressure
 //!
 //! Admission is per-tenant: each tenant may have at most
-//! [`ServeConfig::max_inflight_per_tenant`] requests executing (or queued at
-//! the batcher / blocked on paging) at once. The bound is checked at entry —
+//! [`ServeConfig::max_inflight_per_tenant`] requests executing (or blocked
+//! on paging) at once. The bound is checked at entry —
 //! a request over the bound is *rejected immediately* with a typed
 //! `Overloaded` error rather than queued, so one greedy tenant can saturate
 //! only its own lane while the byte budget is contended, never the accept
@@ -33,7 +34,6 @@
 //! exception (it *reports* scheduling), mirroring how runtime counters are
 //! stripped from stable traces.
 
-use crate::batch::{Batcher, JobKind, JobOut};
 use crate::error::ServeError;
 use crate::protocol::{
     Axis, ErrorCode, Request, Response, ResponseBody, StatsReport, Verb, WireCriterion,
@@ -41,9 +41,9 @@ use crate::protocol::{
 use ifet_core::prelude::*;
 use ifet_obs as obs;
 use ifet_render::{render_slice, SliceAxis};
+use ifet_volume::io::frame_paths;
 use ifet_volume::{CacheBudget, CacheBudgetHandle, FrameSource, OutOfCoreSeries, ReadFaultHook};
 use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
@@ -133,7 +133,10 @@ struct Inner {
     /// last tenant binding, not with the map entry.
     artifacts: Mutex<HashMap<String, Weak<SharedSession>>>,
     tenants: Mutex<BTreeMap<u32, Arc<Tenant>>>,
-    batcher: Batcher,
+    /// MLP jobs (classify masks and IATF tables) run by any worker, and the
+    /// voxel rows they pushed through the network (`report-stats`).
+    mlp_jobs: AtomicU64,
+    mlp_rows: AtomicU64,
     /// Fault hooks by artifact key, applied at open time (chaos testing).
     fault_hooks: Mutex<HashMap<String, ReadFaultHook>>,
     /// Residency-group id allocator (0 is the budget's default group, never
@@ -157,7 +160,8 @@ impl ServeEngine {
                 budget,
                 artifacts: Mutex::new(HashMap::new()),
                 tenants: Mutex::new(BTreeMap::new()),
-                batcher: Batcher::start(),
+                mlp_jobs: AtomicU64::new(0),
+                mlp_rows: AtomicU64::new(0),
                 fault_hooks: Mutex::new(HashMap::new()),
                 next_group: AtomicU64::new(1),
             }),
@@ -248,17 +252,17 @@ impl ServeEngine {
     /// Snapshot a tenant's counters (test and stats-verb surface).
     pub fn tenant_stats(&self, tenant: u32) -> StatsReport {
         let t = self.tenant_entry(tenant);
-        let c = &self.inner.batcher.counters;
         let b = self.inner.budget.stats();
+        let mlp_jobs = self.inner.mlp_jobs.load(Ordering::SeqCst);
         StatsReport {
             sent: t.sent.load(Ordering::SeqCst),
             accepted: t.accepted.load(Ordering::SeqCst),
             rejected: t.rejected.load(Ordering::SeqCst),
             completed: t.completed.load(Ordering::SeqCst),
             max_depth: t.max_depth.load(Ordering::SeqCst),
-            batch_jobs: c.jobs.load(Ordering::SeqCst),
-            batch_cycles: c.cycles.load(Ordering::SeqCst),
-            batch_rows: c.rows.load(Ordering::SeqCst),
+            batch_jobs: mlp_jobs,
+            batch_cycles: mlp_jobs,
+            batch_rows: self.inner.mlp_rows.load(Ordering::SeqCst),
             evictions: b.evictions,
             quota_evictions: b.quota_evictions,
             idle_evictions: b.idle_evictions,
@@ -293,20 +297,16 @@ impl ServeEngine {
             Verb::Classify { step, tau } => {
                 let shared = self.bound_session(tenant, req.tenant)?;
                 let _active = GroupActivity::enter(&self.inner.budget, shared.group);
-                match self.inner.batcher.submit(
-                    shared,
-                    JobKind::Classify {
-                        step: *step,
-                        tau: *tau,
-                    },
-                )? {
-                    JobOut::Mask { voxels, words } => {
-                        Ok(ResponseBody::ClassifyOk { voxels, words })
-                    }
-                    JobOut::Tf(_) => Err(ServeError::Session {
-                        reason: "batch worker returned mismatched output".into(),
-                    }),
-                }
+                let mask = shared
+                    .session()
+                    .try_extract_data_space(*step, *tau)
+                    .map_err(session_error)?
+                    .ok_or_else(|| classify_refusal(&shared, *step))?;
+                self.note_mlp_job(&shared);
+                Ok(ResponseBody::ClassifyOk {
+                    voxels: mask.count() as u64,
+                    words: mask.words().to_vec(),
+                })
             }
             Verb::Track { criterion, seeds } => {
                 let shared = self.bound_session(tenant, req.tenant)?;
@@ -329,9 +329,7 @@ impl ServeEngine {
                         SessionError::Grow(_) => ServeError::BadRequest {
                             reason: e.to_string(),
                         },
-                        other => ServeError::Session {
-                            reason: other.to_string(),
-                        },
+                        other => session_error(other),
                     })?;
                 Ok(ResponseBody::TrackOk {
                     voxels_per_frame: result
@@ -405,21 +403,13 @@ impl ServeEngine {
         }
         let mut img = render_slice(&frame, axis, k as usize, session.colormap);
         if adaptive {
-            // IATF-generated opacity modulates the slice — the generation
-            // itself is MLP work, so it goes through the batcher like any
-            // other tenant's.
-            let tf = match self
-                .inner
-                .batcher
-                .submit(Arc::clone(shared), JobKind::GenerateTf { step })?
-            {
-                JobOut::Tf(tf) => tf,
-                JobOut::Mask { .. } => {
-                    return Err(ServeError::Session {
-                        reason: "batch worker returned mismatched output".into(),
-                    })
-                }
-            };
+            // IATF-generated opacity modulates the slice; generating it is
+            // MLP work and runs on this worker like classification does.
+            let tf = session
+                .try_adaptive_tf_at_step(step)
+                .map_err(session_error)?
+                .ok_or_else(|| generate_refusal(shared, step))?;
+            self.note_mlp_job(shared);
             let (w, h, data) = ifet_render::slice_data(&frame, axis, k as usize);
             for y in 0..h {
                 for x in 0..w {
@@ -440,6 +430,14 @@ impl ServeEngine {
             height: h as u32,
             rgb,
         })
+    }
+
+    /// Count one MLP job (a classify mask or an IATF table) over every voxel
+    /// of the session's frame grid.
+    fn note_mlp_job(&self, shared: &SharedSession) {
+        let rows = shared.session().series().dims().len() as u64;
+        self.inner.mlp_jobs.fetch_add(1, Ordering::Relaxed);
+        self.inner.mlp_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
     fn bound_session(&self, tenant: &Tenant, id: u32) -> Result<Arc<SharedSession>, ServeError> {
@@ -463,8 +461,7 @@ impl ServeEngine {
         if let Some(shared) = map.get(artifact).and_then(Weak::upgrade) {
             return Ok(shared);
         }
-        let paths =
-            frame_paths(Path::new(data_dir)).map_err(|reason| ServeError::Open { reason })?;
+        let paths = frame_paths(data_dir).map_err(|reason| ServeError::Open { reason })?;
         let series = OutOfCoreSeries::open_with(paths, &self.inner.budget, self.inner.cfg.prefetch)
             .map_err(|e| ServeError::Open {
                 reason: e.to_string(),
@@ -496,34 +493,6 @@ impl ServeEngine {
     }
 }
 
-/// Frame files of a series directory: every `.raw`/`.rawz` under `dir`,
-/// lexicographically sorted (the series itself orders by sidecar step).
-/// `_truth` ground-truth companions written by `ifet generate` are not
-/// data frames and are excluded, mirroring the CLI's series loader.
-fn frame_paths(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("raw") | Some("rawz")
-            )
-        })
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .map(|n| !n.contains("_truth"))
-                .unwrap_or(true)
-        })
-        .collect();
-    if paths.is_empty() {
-        return Err(format!("no .raw/.rawz frames in {}", dir.display()));
-    }
-    paths.sort();
-    Ok(paths)
-}
-
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -546,6 +515,40 @@ impl<'a> GroupActivity<'a> {
 impl Drop for GroupActivity<'_> {
     fn drop(&mut self) {
         self.budget.group_exit(self.group);
+    }
+}
+
+fn session_error(e: SessionError) -> ServeError {
+    ServeError::Session {
+        reason: e.to_string(),
+    }
+}
+
+/// Why `try_extract_data_space` produced no mask: the session has no
+/// classifier, or the step is not in the series.
+fn classify_refusal(shared: &SharedSession, step: u32) -> ServeError {
+    if shared.session().classifier().is_none() {
+        ServeError::Session {
+            reason: "no trained classifier in this session".into(),
+        }
+    } else {
+        ServeError::BadRequest {
+            reason: format!("step {step} not in the series"),
+        }
+    }
+}
+
+/// Why `try_adaptive_tf_at_step` produced no table: the session has no
+/// IATF, or the step is not in the series.
+fn generate_refusal(shared: &SharedSession, step: u32) -> ServeError {
+    if shared.session().iatf().is_none() {
+        ServeError::Session {
+            reason: "no trained IATF in this session".into(),
+        }
+    } else {
+        ServeError::BadRequest {
+            reason: format!("step {step} not in the series"),
+        }
     }
 }
 

@@ -16,8 +16,9 @@
 //!   [`ProtocolError`]s for every corruption mode.
 //! - [`engine`] — [`ServeEngine`]: session residency and sharing,
 //!   per-tenant admission (bounded in-flight work, typed `Overloaded`
-//!   backpressure), per-artifact residency-quota groups on the shared
-//!   cache budget, and the cross-session MLP batcher.
+//!   backpressure), and per-artifact residency-quota groups on the shared
+//!   cache budget. Every verb, MLP work included, runs on the thread that
+//!   handles the request.
 //! - [`server`] — the Unix-socket transport (`ifet serve` / `ifet
 //!   client`): per-connection reader/writer threads around a fixed
 //!   worker-pool executor, multiplexed pipelined connections (replies in
@@ -33,7 +34,6 @@
 //! request arguments through code already pinned bit-identical against
 //! paging, batching, and thread count.
 
-pub mod batch;
 pub mod engine;
 pub mod error;
 pub mod protocol;

@@ -237,11 +237,13 @@ pub struct StatsReport {
     pub completed: u64,
     /// Highest concurrent in-flight depth this tenant ever reached.
     pub max_depth: u64,
-    /// Engine-wide: jobs that went through the cross-session batcher.
+    /// Engine-wide: MLP jobs (classify masks and adaptive-slice IATF
+    /// tables) the workers ran.
     pub batch_jobs: u64,
-    /// Engine-wide: batch cycles (one queue drain each).
+    /// Engine-wide: always equal to `batch_jobs` (every MLP job is its own
+    /// cycle). Kept so the wire layout stays unchanged.
     pub batch_cycles: u64,
-    /// Engine-wide: voxel rows pushed through the MLP by batched jobs.
+    /// Engine-wide: voxel rows those MLP jobs pushed through the network.
     pub batch_rows: u64,
     /// Engine-wide: frames evicted from the shared cache budget.
     pub evictions: u64,

@@ -14,7 +14,8 @@
 //! - **workers** (a fixed pool of [`ServerOpts::workers`] threads) pull jobs
 //!   round-robin across connection queues — one connection with a deep
 //!   pipeline cannot starve another's single request — and execute them on
-//!   the engine.
+//!   the engine, MLP inference included: a worker never hands a request to
+//!   another thread.
 //! - **writers** (one per connection) serialize replies in completion
 //!   order. Out-of-order replies are legal precisely because every response
 //!   carries its request id: the client matches replies by id, and each id's
@@ -86,12 +87,13 @@ impl Conn {
     }
 
     /// Reader side: block until fewer than `depth` requests are
-    /// outstanding, or the connection has died.
+    /// outstanding, or the connection has died. No timeout is needed: the
+    /// writer sets `dead` before the `complete` that follows every reply,
+    /// and `complete` notifies under this lock.
     fn wait_below(&self, depth: usize) -> bool {
         let mut n = self.outstanding.lock().unwrap();
         while *n >= depth && !self.dead.load(Ordering::SeqCst) {
-            let (g, _) = self.cv.wait_timeout(n, Duration::from_millis(50)).unwrap();
-            n = g;
+            n = self.cv.wait(n).unwrap();
         }
         !self.dead.load(Ordering::SeqCst)
     }

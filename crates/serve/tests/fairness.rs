@@ -7,7 +7,9 @@
 //! - the greedy tenant gets its bounded amount of in-flight work, then an
 //!   immediate typed `Overloaded` for everything beyond it — rejected at
 //!   admission, never queued;
-//! - a light tenant on another artifact keeps completing the whole time;
+//! - a light tenant on another artifact keeps completing the whole time,
+//!   whether the greedy lane is wedged on `track` or on MLP work
+//!   (`classify`);
 //! - the counter algebra holds for both: `accepted + rejected == sent`.
 
 use ifet_serve::{
@@ -15,7 +17,7 @@ use ifet_serve::{
 };
 use ifet_volume::{CacheBudget, ReadFaultHook};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 #[path = "../../../tests/support/mod.rs"]
@@ -82,6 +84,44 @@ fn track_req(id: u64, tenant: u32) -> Request {
     }
 }
 
+fn classify_req(id: u64, tenant: u32) -> Request {
+    Request {
+        request_id: id,
+        tenant,
+        verb: Verb::Classify { step: 0, tau: 0.5 },
+    }
+}
+
+/// The verb the greedy tenant wedges its lane on. Both read frame 0 first,
+/// so every gated request of the lane waits on the same single read.
+#[derive(Clone, Copy, Debug)]
+enum Wedge {
+    Track,
+    Classify,
+}
+
+impl Wedge {
+    fn req(self, id: u64, tenant: u32) -> Request {
+        match self {
+            Wedge::Track => track_req(id, tenant),
+            Wedge::Classify => classify_req(id, tenant),
+        }
+    }
+
+    fn answered(self, body: &ResponseBody) -> bool {
+        match (self, body) {
+            (
+                Wedge::Track,
+                ResponseBody::TrackOk {
+                    voxels_per_frame, ..
+                },
+            ) => voxels_per_frame[0] > 0,
+            (Wedge::Classify, ResponseBody::ClassifyOk { voxels, .. }) => *voxels > 0,
+            _ => false,
+        }
+    }
+}
+
 /// Poll tenant counters until `pred` holds (bounded; the gate guarantees
 /// the state can't regress once reached).
 fn wait_until(engine: &ServeEngine, tenant: u32, pred: impl Fn(u64, u64) -> bool) {
@@ -101,8 +141,22 @@ fn wait_until(engine: &ServeEngine, tenant: u32, pred: impl Fn(u64, u64) -> bool
 
 #[test]
 fn greedy_tenant_is_bounded_while_light_tenant_completes() {
-    let fx_greedy = serve_fixture("fair_greedy", 0.0);
-    let fx_light = serve_fixture("fair_light", 0.25);
+    greedy_lane_is_bounded_while_light_tenant_completes(Wedge::Track);
+}
+
+#[test]
+fn greedy_classify_lane_is_bounded_while_light_tenant_completes() {
+    greedy_lane_is_bounded_while_light_tenant_completes(Wedge::Classify);
+}
+
+/// How long the light tenant's whole session may take while the greedy
+/// lane is wedged. Generous: unwedged, it takes milliseconds.
+const LIGHT_DEADLINE: Duration = Duration::from_secs(10);
+
+fn greedy_lane_is_bounded_while_light_tenant_completes(wedge: Wedge) {
+    let tag = format!("{wedge:?}").to_lowercase();
+    let fx_greedy = serve_fixture(&format!("fair_greedy_{tag}"), 0.0);
+    let fx_light = serve_fixture(&format!("fair_light_{tag}"), 0.25);
     let gate = Gate::new();
 
     // Starved shared budget: two frames' worth of bytes for everyone. The
@@ -124,15 +178,15 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
     }
 
     std::thread::scope(|s| {
-        // Fill the greedy tenant's bound with tracks that stop at the gate
-        // on their first frame read.
+        // Fill the greedy tenant's bound with requests that stop at the
+        // gate on their first frame read.
         let blocked: Vec<_> = (0..BOUND as u64)
             .map(|i| {
                 let engine = engine.clone();
-                s.spawn(move || engine.handle(track_req(10 + i, 0)))
+                s.spawn(move || engine.handle(wedge.req(10 + i, 0)))
             })
             .collect();
-        // Both are in flight once accepted == 1 open + BOUND tracks with
+        // Both are in flight once accepted == 1 open + BOUND requests with
         // only the open completed; admission counts them before execution,
         // so from here every further greedy request sees a full lane.
         wait_until(&engine, 0, |accepted, completed| {
@@ -142,7 +196,7 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
         // The greedy burst beyond the bound: rejected immediately and
         // typed, while the lane is still blocked — never queued behind it.
         for i in 0..EXTRA {
-            let rsp = engine.handle(track_req(100 + i, 0));
+            let rsp = engine.handle(wedge.req(100 + i, 0));
             match rsp.body {
                 ResponseBody::Err { code, message } => {
                     assert_eq!(code, ErrorCode::Overloaded, "burst {i}: {message}");
@@ -184,10 +238,32 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
                 verb: Verb::Close,
             },
         ];
-        for req in light {
-            let id = req.request_id;
-            if let ResponseBody::Err { code, message } = engine.handle(req).body {
-                panic!("light request {id} failed: {code:?} {message}")
+        // Run on its own thread so a light request stuck behind the wedged
+        // lane fails the test instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        {
+            let engine = engine.clone();
+            s.spawn(move || {
+                let replies: Vec<_> = light.into_iter().map(|req| engine.handle(req)).collect();
+                let _ = tx.send(replies);
+            });
+        }
+        let replies = match rx.recv_timeout(LIGHT_DEADLINE) {
+            Ok(replies) => replies,
+            Err(_) => {
+                // Unwedge the greedy lane so the scope can join, then fail.
+                gate.release();
+                panic!(
+                    "light tenant blocked behind the greedy {wedge:?} lane for {LIGHT_DEADLINE:?}"
+                );
+            }
+        };
+        for rsp in replies {
+            if let ResponseBody::Err { code, message } = rsp.body {
+                panic!(
+                    "light request {} failed: {code:?} {message}",
+                    rsp.request_id
+                )
             }
         }
         let lt = engine.tenant_stats(1);
@@ -196,16 +272,15 @@ fn greedy_tenant_is_bounded_while_light_tenant_completes() {
         assert_eq!(lt.completed, 4);
         assert_eq!(lt.accepted + lt.rejected, lt.sent);
 
-        // Open the gate: the blocked tracks finish as real answers — the
+        // Open the gate: the blocked requests finish as real answers — the
         // bound delayed them, it never corrupted them.
         gate.release();
         for h in blocked {
-            match h.join().unwrap().body {
-                ResponseBody::TrackOk {
-                    voxels_per_frame, ..
-                } => assert!(voxels_per_frame[0] > 0),
-                other => panic!("gated track failed after release: {other:?}"),
-            }
+            let body = h.join().unwrap().body;
+            assert!(
+                wedge.answered(&body),
+                "gated {wedge:?} failed after release: {body:?}"
+            );
         }
     });
 

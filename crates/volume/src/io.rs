@@ -233,6 +233,39 @@ pub fn write_series_with(
     Ok(paths)
 }
 
+/// Whether `p` names a frame file: raw `.raw` or compressed `.rawz`.
+pub fn is_frame_file(p: &Path) -> bool {
+    matches!(
+        p.extension().and_then(|e| e.to_str()),
+        Some("raw") | Some("rawz")
+    )
+}
+
+/// Sorted data-frame paths of a series directory: every `.raw`/`.rawz`
+/// frame except the `_truth` ground-truth companions `ifet generate` writes
+/// beside them. Lexicographic order; [`read_series`] and the out-of-core
+/// series order by sidecar step. A directory without data frames is an
+/// error.
+pub fn frame_paths(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, String> {
+    let dir = dir.as_ref();
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| is_frame_file(p))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .map(|n| !n.contains("_truth"))
+                .unwrap_or(true)
+        })
+        .collect();
+    if paths.is_empty() {
+        return Err(format!("no .raw/.rawz frames in {}", dir.display()));
+    }
+    paths.sort();
+    Ok(paths)
+}
+
 /// Read a series back from the paths produced by [`write_series`] or
 /// [`write_series_with`] (any order; frames are sorted by their sidecar
 /// step labels; raw and compressed frames may mix).

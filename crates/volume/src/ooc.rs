@@ -802,6 +802,31 @@ impl Inner {
     }
 }
 
+impl Drop for Inner {
+    /// Hand this series' resident frames back to the shared budget. The
+    /// budget reaches member caches only through `Weak`s, so frames still
+    /// charged when the series goes away could never be evicted: every
+    /// other member would page under a budget shrunk by them for good.
+    fn drop(&mut self) {
+        let b = &self.budget.0;
+        let mut st = b.state.lock().unwrap_or_else(|e| e.into_inner());
+        // Emptied under both locks (budget → cache order), so an evictor
+        // that upgrades the `Weak` before the cache is freed finds nothing
+        // left to debit a second time.
+        let cache = std::mem::replace(
+            &mut *self.sc.cache.lock().unwrap_or_else(|e| e.into_inner()),
+            Cache::new(),
+        );
+        let bytes = cache.stats.resident_bytes;
+        st.resident_frames = st.resident_frames.saturating_sub(cache.map.len());
+        st.resident_bytes = st.resident_bytes.saturating_sub(bytes);
+        let g = st.group_mut(self.sc.group.load(Ordering::Relaxed));
+        g.resident_bytes = g.resident_bytes.saturating_sub(bytes);
+        drop(st);
+        b.cv.notify_all();
+    }
+}
+
 enum PrefetchMsg {
     Batch(Vec<usize>),
     Stop,

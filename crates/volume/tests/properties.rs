@@ -432,3 +432,34 @@ proptest! {
         );
     }
 }
+
+/// Dropping a series hands its resident frames back to the shared budget.
+/// Before, they stayed charged with no evictor able to reach them, so one
+/// closed series shrank every other member's budget and the high-water
+/// climbed past the limit.
+#[test]
+fn lru_dropped_series_returns_its_frames_to_shared_budget() {
+    let (series, paths) = ooc_fixture();
+    let frame_bytes = series.dims().len() as u64 * 4;
+    let budget = ifet_volume::CacheBudgetHandle::frames(2);
+    let a = ifet_volume::OutOfCoreSeries::open_with(paths.clone(), &budget, 0).unwrap();
+    a.set_residency_group(7);
+    let _ = a.frame(0).unwrap();
+    let _ = a.frame(1).unwrap();
+    assert_eq!(budget.group_stats(7).resident_bytes, 2 * frame_bytes);
+    drop(a);
+    let st = budget.stats();
+    assert_eq!((st.resident_frames, st.resident_bytes), (0, 0));
+    assert_eq!(budget.group_stats(7).resident_bytes, 0);
+
+    let b = ifet_volume::OutOfCoreSeries::open_with(paths.clone(), &budget, 0).unwrap();
+    assert_eq!(&*b.frame(2).unwrap(), series.frame(2));
+    let st = budget.stats();
+    assert_eq!(st.resident_frames, 1);
+    assert_eq!(st.resident_bytes, frame_bytes);
+    assert_eq!(st.high_water_frames, 2, "budget of 2 frames exceeded");
+    assert_eq!(
+        st.evictions, 0,
+        "nothing of the dropped series is left to evict"
+    );
+}

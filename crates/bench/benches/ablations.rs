@@ -2,7 +2,7 @@
 //! descriptor cost, octree encoding, 4D region growing, and neural-network
 //! throughput.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ifet_core::prelude::*;
 use ifet_nn::mlp::Scratch;
 use ifet_track::components::{ComponentLabels, Connectivity};
@@ -13,12 +13,6 @@ use std::hint::black_box;
 fn bench_shell_sampling(c: &mut Criterion) {
     let vol = ScalarVolume::from_fn(Dims3::cube(64), |x, y, z| (x + y + z) as f32);
     let mut g = c.benchmark_group("shell_sampling");
-    for &r in &[2.0f32, 4.0, 6.0] {
-        let shell = ShellOffsets::full(r);
-        g.bench_with_input(BenchmarkId::new("full_stats", r as u32), &shell, |b, s| {
-            b.iter(|| black_box(s.sample_stats(&vol, 32, 32, 32)))
-        });
-    }
     let fib = ShellOffsets::fibonacci(4.0, 26);
     let mut buf = Vec::new();
     g.bench_function("fibonacci_26_samples", |b| {
@@ -28,6 +22,27 @@ fn bench_shell_sampling(c: &mut Criterion) {
             black_box(buf.len())
         })
     });
+    // Per-voxel statistics next to one 64-voxel run of the lane kernel;
+    // both report voxels/s so the axes compare directly.
+    let mut run = [[0.0f32; 4]; 64];
+    for &r in &[2.0f32, 4.0, 6.0] {
+        let shell = ShellOffsets::full(r);
+        g.throughput(Throughput::Elements(1));
+        g.bench_with_input(BenchmarkId::new("full_stats", r as u32), &shell, |b, s| {
+            b.iter(|| black_box(s.sample_stats(&vol, 32, 32, 32)))
+        });
+        g.throughput(Throughput::Elements(run.len() as u64));
+        g.bench_with_input(
+            BenchmarkId::new("stats_run_64", r as u32),
+            &shell,
+            |b, s| {
+                b.iter(|| {
+                    s.sample_stats_run(&vol, 0, 32, 32, &mut run);
+                    black_box(run[63])
+                })
+            },
+        );
+    }
     g.finish();
 }
 

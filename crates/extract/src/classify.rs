@@ -168,6 +168,23 @@ impl PooledPredictor<'_> {
         self.predict_rows_into(nf, out);
     }
 
+    /// Certainties for the `z` slice of a scalar frame (`out` is `nx * ny`),
+    /// each row in runs of `b` voxels.
+    fn predict_slice_into(
+        &mut self,
+        frame: &ScalarVolume,
+        z: usize,
+        tn: f32,
+        b: usize,
+        out: &mut [f32],
+    ) {
+        for (y, row) in out.chunks_mut(frame.dims().nx).enumerate() {
+            for (ci, chunk) in row.chunks_mut(b).enumerate() {
+                self.predict_run_into(frame, ci * b, y, z, tn, chunk);
+            }
+        }
+    }
+
     /// Certainties for the run of `out.len()` voxels starting at `(x0, y, z)`
     /// along x of a multivariate frame.
     fn predict_run_multi_at(
@@ -729,13 +746,8 @@ impl DataSpaceClassifier {
             // Declared first so the flush runs after the predictor returns
             // its buffers (take/put bracket the pool counters).
             let _flush = obs::flush_guard();
-            let mut predictor = self.predictor();
-            for y in 0..d.ny {
-                let row = &mut out[d.nx * y..d.nx * (y + 1)];
-                for (ci, chunk) in row.chunks_mut(b).enumerate() {
-                    predictor.predict_run_into(frame, ci * b, y, z, t_norm, chunk);
-                }
-            }
+            self.predictor()
+                .predict_slice_into(frame, z, t_norm, b, out);
             obs::counter("voxels_classified", out.len() as u64);
         });
         ScalarVolume::from_vec(d, data)
@@ -774,13 +786,9 @@ impl DataSpaceClassifier {
     ) -> (usize, usize, Vec<f32>) {
         let d = frame.dims();
         assert!(k < d.nz);
-        let mut predictor = self.predictor();
-        let mut out = Vec::with_capacity(d.nx * d.ny);
-        for y in 0..d.ny {
-            for x in 0..d.nx {
-                out.push(predictor.predict_at(frame, x, y, k, t_norm));
-            }
-        }
+        let mut out = vec![0.0f32; d.nx * d.ny];
+        self.predictor()
+            .predict_slice_into(frame, k, t_norm, self.batch_rows(), &mut out);
         (d.nx, d.ny, out)
     }
 
@@ -805,14 +813,8 @@ impl DataSpaceClassifier {
         let b = self.batch_rows();
         let mut predictor = self.predictor();
         let mut data = vec![0.0f32; d.len()];
-        for z in 0..d.nz {
-            for y in 0..d.ny {
-                let at = d.nx * (y + d.ny * z);
-                let row = &mut data[at..at + d.nx];
-                for (ci, chunk) in row.chunks_mut(b).enumerate() {
-                    predictor.predict_run_into(frame, ci * b, y, z, tn, chunk);
-                }
-            }
+        for (z, slab) in data.chunks_mut(d.nx * d.ny).enumerate() {
+            predictor.predict_slice_into(frame, z, tn, b, slab);
         }
         obs::counter("frames", 1);
         obs::counter("voxels_classified", d.len() as u64);
@@ -1093,11 +1095,22 @@ mod tests {
     #[test]
     fn classify_slice_matches_frame() {
         let (clf, vol, _, _) = trained_on_scene();
-        let field = clf.classify_frame(&vol, 0.0);
-        let (nx, _, slice) = clf.classify_slice_z(&vol, 10, 0.0);
-        for y in 0..5 {
-            for x in 0..5 {
-                assert!((slice[x + nx * y] - field.get(x, y, 10)).abs() < 1e-6);
+        let d = vol.dims();
+        let field = clf.classify_frame(&vol, 0.25);
+        for batch in [0, 7] {
+            clf.set_batch(batch);
+            for k in [0, 10, d.nz - 1] {
+                let (nx, ny, slice) = clf.classify_slice_z(&vol, k, 0.25);
+                assert_eq!((nx, ny), (d.nx, d.ny));
+                let at = d.nx * d.ny * k;
+                let want = &field.as_slice()[at..at + nx * ny];
+                for (i, (a, b)) in slice.iter().zip(want).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "batch {batch}, slice {k}, voxel {i}"
+                    );
+                }
             }
         }
     }

@@ -6,7 +6,7 @@
 //! consider unimportant (Section 6), shrinking the network.
 
 use ifet_volume::shell::ShellOffsets;
-use ifet_volume::{Dims3, ScalarVolume};
+use ifet_volume::ScalarVolume;
 use serde::{Deserialize, Serialize};
 
 /// How the spherical-shell neighborhood enters the feature vector.
@@ -75,6 +75,11 @@ impl FeatureSpec {
     }
 }
 
+/// Voxels whose shell statistics the run assemblers compute at once (a
+/// stack buffer; the lane kernel's blocks are independent, so the chunk
+/// size does not change a bit).
+const RUN_CHUNK: usize = 64;
+
 /// Assembles feature vectors for voxels of a volume according to a spec.
 /// Construct once per (spec, radius); reuse across voxels and frames.
 #[derive(Debug, Clone)]
@@ -131,47 +136,17 @@ impl FeatureExtractor {
         out: &mut Vec<f32>,
     ) {
         out.clear();
-        self.append_one(vol, x, y, z, t_norm, out);
-    }
-
-    fn append_one(
-        &self,
-        vol: &ScalarVolume,
-        x: usize,
-        y: usize,
-        z: usize,
-        t_norm: f32,
-        out: &mut Vec<f32>,
-    ) {
-        if self.spec.value {
-            out.push(*vol.get(x, y, z));
-        }
-        match self.spec.shell {
-            ShellMode::None => {}
-            ShellMode::Stats => {
-                let stats = self.shell.as_ref().unwrap().sample_stats(vol, x, y, z);
-                out.extend_from_slice(&stats);
-            }
-            ShellMode::Samples { .. } => {
-                self.shell.as_ref().unwrap().sample_into(vol, x, y, z, out);
-            }
-        }
-        if self.spec.position {
-            let d = vol.dims();
-            out.push(x as f32 / (d.nx - 1).max(1) as f32);
-            out.push(y as f32 / (d.ny - 1).max(1) as f32);
-            out.push(z as f32 / (d.nz - 1).max(1) as f32);
-        }
-        if self.spec.time {
-            out.push(t_norm);
-        }
+        self.rows_into(vol, x, 1, y, z, t_norm, out, |x, o| {
+            o.push(*vol.get(x, y, z))
+        });
     }
 
     /// Assemble feature rows for the run of `len` voxels starting at
     /// `(x0, y, z)` along x, appending `len * num_features()` values to
-    /// `out` (cleared first). Each row is assembled by the exact same code
-    /// as [`FeatureExtractor::vector_into`], so batched rows are
-    /// bit-identical to per-voxel rows.
+    /// `out` (cleared first). Rows come from the same assembler as
+    /// [`FeatureExtractor::vector_into`], and shell statistics from the
+    /// same lane kernel ([`ShellOffsets::sample_stats_run`]), so batched
+    /// rows are bit-identical to per-voxel rows.
     #[allow(clippy::too_many_arguments)]
     pub fn vectors_run_into(
         &self,
@@ -185,9 +160,9 @@ impl FeatureExtractor {
     ) {
         out.clear();
         out.reserve(len * self.num_features());
-        for x in x0..x0 + len {
-            self.append_one(vol, x, y, z, t_norm, out);
-        }
+        self.rows_into(vol, x0, len, y, z, t_norm, out, |x, o| {
+            o.push(*vol.get(x, y, z))
+        });
     }
 
     /// Allocating convenience wrapper.
@@ -221,44 +196,9 @@ impl FeatureExtractor {
     ) {
         assert!(mv.num_vars() > 0, "multivariate volume has no variables");
         out.clear();
-        self.append_one_multi(mv, x, y, z, t_norm, out);
-    }
-
-    fn append_one_multi(
-        &self,
-        mv: &ifet_volume::MultiVolume,
-        x: usize,
-        y: usize,
-        z: usize,
-        t_norm: f32,
-        out: &mut Vec<f32>,
-    ) {
-        if self.spec.value {
-            mv.values_at_into(x, y, z, out);
-        }
-        let primary = mv.var_at(0);
-        match self.spec.shell {
-            ShellMode::None => {}
-            ShellMode::Stats => {
-                let stats = self.shell.as_ref().unwrap().sample_stats(primary, x, y, z);
-                out.extend_from_slice(&stats);
-            }
-            ShellMode::Samples { .. } => {
-                self.shell
-                    .as_ref()
-                    .unwrap()
-                    .sample_into(primary, x, y, z, out);
-            }
-        }
-        if self.spec.position {
-            let d = primary.dims();
-            out.push(x as f32 / (d.nx - 1).max(1) as f32);
-            out.push(y as f32 / (d.ny - 1).max(1) as f32);
-            out.push(z as f32 / (d.nz - 1).max(1) as f32);
-        }
-        if self.spec.time {
-            out.push(t_norm);
-        }
+        self.rows_into(mv.var_at(0), x, 1, y, z, t_norm, out, |x, o| {
+            mv.values_at_into(x, y, z, o)
+        });
     }
 
     /// Multivariate analogue of [`FeatureExtractor::vectors_run_into`]:
@@ -277,8 +217,57 @@ impl FeatureExtractor {
         assert!(mv.num_vars() > 0, "multivariate volume has no variables");
         out.clear();
         out.reserve(len * self.num_features_multi(mv.num_vars()));
-        for x in x0..x0 + len {
-            self.append_one_multi(mv, x, y, z, t_norm, out);
+        self.rows_into(mv.var_at(0), x0, len, y, z, t_norm, out, |x, o| {
+            mv.values_at_into(x, y, z, o)
+        });
+    }
+
+    /// The one row assembler: for the run of `len` voxels at `(x0, y, z)`,
+    /// first the shell statistics of up to [`RUN_CHUNK`] voxels of
+    /// `primary`, then each row in field order — `values` pushes the
+    /// voxel's own value(s), shell/position/time come from `primary`.
+    #[allow(clippy::too_many_arguments)]
+    fn rows_into(
+        &self,
+        primary: &ScalarVolume,
+        x0: usize,
+        len: usize,
+        y: usize,
+        z: usize,
+        t_norm: f32,
+        out: &mut Vec<f32>,
+        values: impl Fn(usize, &mut Vec<f32>),
+    ) {
+        let d = primary.dims();
+        let mut stats = [[0.0f32; 4]; RUN_CHUNK];
+        for c0 in (x0..x0 + len).step_by(RUN_CHUNK) {
+            let stats = &mut stats[..RUN_CHUNK.min(x0 + len - c0)];
+            if let (ShellMode::Stats, Some(shell)) = (self.spec.shell, &self.shell) {
+                shell.sample_stats_run(primary, c0, y, z, stats);
+            }
+            for (x, s) in (c0..).zip(stats.iter()) {
+                if self.spec.value {
+                    values(x, out);
+                }
+                match self.spec.shell {
+                    ShellMode::None => {}
+                    ShellMode::Stats => out.extend_from_slice(s),
+                    ShellMode::Samples { .. } => {
+                        self.shell
+                            .as_ref()
+                            .unwrap()
+                            .sample_into(primary, x, y, z, out);
+                    }
+                }
+                if self.spec.position {
+                    out.push(x as f32 / (d.nx - 1).max(1) as f32);
+                    out.push(y as f32 / (d.ny - 1).max(1) as f32);
+                    out.push(z as f32 / (d.nz - 1).max(1) as f32);
+                }
+                if self.spec.time {
+                    out.push(t_norm);
+                }
+            }
         }
     }
 
@@ -291,11 +280,6 @@ impl FeatureExtractor {
             base
         }
     }
-}
-
-/// Convenience: check two dims match (used by callers classifying series).
-pub fn assert_same_dims(a: Dims3, b: Dims3) {
-    assert_eq!(a, b, "volume dims mismatch: {a} vs {b}");
 }
 
 #[cfg(test)]
@@ -368,7 +352,7 @@ mod tests {
         let fx = FeatureExtractor::new(spec);
         let big = vol_ball(16, 6.0);
         let small = vol_ball(16, 1.5);
-        let vb = fx.vector(&big, 8, 8, 8, 0.0); // wait: center is (7.5) — use 8
+        let vb = fx.vector(&big, 8, 8, 8, 0.0);
         let vs = fx.vector(&small, 8, 8, 8, 0.0);
         // Feature 0 is the value: both are inside their ball.
         assert_eq!(vb[0], 1.0);

@@ -4,6 +4,7 @@ use ifet_volume::histogram::{CumulativeHistogram, Histogram};
 use ifet_volume::mask::MaskWordsError;
 use ifet_volume::maskio::{decode_mask, encode_mask};
 use ifet_volume::sample::{gradient_at, trilinear};
+use ifet_volume::shell::ShellOffsets;
 use ifet_volume::{Dims3, Mask3, ScalarVolume};
 use proptest::prelude::*;
 
@@ -259,6 +260,143 @@ fn mask_of_bools(d: Dims3, bits: &[bool]) -> Mask3 {
         m.set_linear(i, b);
     }
     m
+}
+
+// ---- Shell-statistics lane kernel ----
+
+/// The per-voxel Welford loop `ShellOffsets::sample_stats` ran before the
+/// lane kernel, copied verbatim as the oracle: clamped gather, then
+/// `delta`/`mean`/`m2` in f64 and `min`/`max` in f32, offset by offset.
+fn welford_reference(
+    shell: &ShellOffsets,
+    vol: &ScalarVolume,
+    x: usize,
+    y: usize,
+    z: usize,
+) -> [f32; 4] {
+    let (xi, yi, zi) = (x as i64, y as i64, z as i64);
+    let mut n = 0u32;
+    let mut mean = 0.0f64;
+    let mut m2 = 0.0f64;
+    let mut lo = f32::INFINITY;
+    let mut hi = f32::NEG_INFINITY;
+    for &(dx, dy, dz) in shell.offsets() {
+        let v = *vol.get_clamped(xi + dx, yi + dy, zi + dz);
+        n += 1;
+        let delta = v as f64 - mean;
+        mean += delta / n as f64;
+        m2 += delta * (v as f64 - mean);
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    if n == 0 {
+        return [0.0; 4];
+    }
+    let var = if n > 1 { m2 / (n - 1) as f64 } else { 0.0 };
+    [mean as f32, lo, hi, var.sqrt() as f32]
+}
+
+/// Dims with x up to 19 (so below, at and between multiples of the
+/// kernel's 8 lanes) and y/z small enough that every row is checked.
+fn shell_volume_strategy() -> impl Strategy<Value = ScalarVolume> {
+    (1usize..20, 1usize..5, 1usize..5).prop_flat_map(|(x, y, z)| {
+        let d = Dims3::new(x, y, z);
+        proptest::collection::vec(-10.0f32..10.0, d.len())
+            .prop_map(move |data| ScalarVolume::from_vec(d, data))
+    })
+}
+
+/// A full shell of radius 1–4, or a Fibonacci shell (unsorted offsets).
+fn shell_offsets(radius: u32, fibonacci: bool) -> ShellOffsets {
+    if fibonacci {
+        ShellOffsets::fibonacci(radius as f32, 26)
+    } else {
+        ShellOffsets::full(radius as f32)
+    }
+}
+
+/// Every `(x0, len)` split of every row: run outputs, as bit patterns.
+fn for_each_run(
+    vol: &ScalarVolume,
+    shell: &ShellOffsets,
+    mut check: impl FnMut(usize, usize, usize, &[[f32; 4]]),
+) {
+    let d = vol.dims();
+    let mut run = vec![[0.0f32; 4]; d.nx];
+    for z in 0..d.nz {
+        for y in 0..d.ny {
+            for x0 in 0..d.nx {
+                for len in 1..=d.nx - x0 {
+                    let out = &mut run[..len];
+                    shell.sample_stats_run(vol, x0, y, z, out);
+                    check(x0, y, z, out);
+                }
+            }
+        }
+    }
+}
+
+fn bits(s: [f32; 4]) -> [u32; 4] {
+    s.map(f32::to_bits)
+}
+
+proptest! {
+    /// On finite fields the lane kernel reproduces the old per-voxel loop
+    /// bit for bit, for every run split, every row (the y/z faces
+    /// included) and every x position relative to the lane blocks.
+    #[test]
+    fn shell_run_bit_identical_to_per_voxel_welford(
+        vol in shell_volume_strategy(),
+        radius in 1u32..5,
+        fibonacci in any::<bool>(),
+    ) {
+        let shell = shell_offsets(radius, fibonacci);
+        for_each_run(&vol, &shell, |x0, y, z, out| {
+            for (i, s) in out.iter().enumerate() {
+                let want = welford_reference(&shell, &vol, x0 + i, y, z);
+                assert_eq!(bits(*s), bits(want), "voxel ({}, {y}, {z}) of run at x0 {x0}", x0 + i);
+                assert_eq!(bits(shell.sample_stats(&vol, x0 + i, y, z)), bits(want));
+            }
+        });
+    }
+
+    /// With NaN (any sign and payload) and ±inf voxels injected, one-voxel
+    /// and run outputs still agree bit for bit and every NaN is the
+    /// canonical `f32::NAN`; against the old loop, NaN positions match and
+    /// every non-NaN output matches bit for bit.
+    #[test]
+    fn shell_run_non_finite_policy(
+        vol in shell_volume_strategy(),
+        radius in 1u32..5,
+        fibonacci in any::<bool>(),
+        inject in proptest::collection::vec((any::<usize>(), 0u32..3, any::<u32>()), 1..6),
+    ) {
+        let mut vol = vol;
+        let len = vol.len();
+        for &(at, kind, payload) in &inject {
+            vol.as_mut_slice()[at % len] = match kind {
+                0 => f32::from_bits(0x7f80_0001 | payload),
+                1 => f32::INFINITY,
+                _ => f32::NEG_INFINITY,
+            };
+        }
+        let shell = shell_offsets(radius, fibonacci);
+        for_each_run(&vol, &shell, |x0, y, z, out| {
+            for (i, s) in out.iter().enumerate() {
+                let x = x0 + i;
+                assert_eq!(bits(*s), bits(shell.sample_stats(&vol, x, y, z)), "voxel ({x}, {y}, {z})");
+                let old = welford_reference(&shell, &vol, x, y, z);
+                for (k, (&got, &want)) in s.iter().zip(&old).enumerate() {
+                    assert_eq!(got.is_nan(), want.is_nan(), "stat {k} of voxel ({x}, {y}, {z})");
+                    if got.is_nan() {
+                        assert_eq!(got.to_bits(), f32::NAN.to_bits());
+                    } else {
+                        assert_eq!(got.to_bits(), want.to_bits(), "stat {k} of voxel ({x}, {y}, {z})");
+                    }
+                }
+            }
+        });
+    }
 }
 
 // ---- Out-of-core LRU cache properties ----

@@ -1,12 +1,10 @@
 //! Micro-benchmarks for the design choices DESIGN.md calls out: shell
-//! descriptor cost, octree encoding, 4D region growing, and neural-network
-//! throughput.
+//! descriptor cost, 4D region growing, and neural-network throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ifet_core::prelude::*;
 use ifet_nn::mlp::Scratch;
 use ifet_track::components::{ComponentLabels, Connectivity};
-use ifet_track::FeatureOctree;
 use ifet_volume::shell::ShellOffsets;
 use std::hint::black_box;
 
@@ -61,20 +59,6 @@ fn bench_mlp_forward(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_octree(c: &mut Criterion) {
-    let data = ifet_sim::turbulent_vortex(Dims3::cube(48), 1);
-    let mask = data.truth_frame(0).clone();
-    let mut g = c.benchmark_group("octree");
-    g.bench_function("encode_48c_feature", |b| {
-        b.iter(|| black_box(FeatureOctree::from_mask(&mask)))
-    });
-    let tree = FeatureOctree::from_mask(&mask);
-    g.bench_function("decode_48c_feature", |b| {
-        b.iter(|| black_box(tree.to_mask()))
-    });
-    g.finish();
-}
-
 fn bench_region_grow_and_components(c: &mut Criterion) {
     let data = ifet_sim::turbulent_vortex(Dims3::cube(48), 1);
     let session = VisSession::new(data.series.clone()).unwrap();
@@ -97,41 +81,6 @@ fn bench_region_grow_and_components(c: &mut Criterion) {
     g.bench_function("label_components_48c", |b| {
         b.iter(|| black_box(ComponentLabels::label(&masks[0], Connectivity::TwentySix)))
     });
-    g.finish();
-}
-
-fn bench_multires_tracking(c: &mut Criterion) {
-    use ifet_track::grow_4d_multires;
-    // A large-ish volume where the tracked feature is compact: the coarse
-    // pass should pay off.
-    let data = ifet_sim::turbulent_vortex(Dims3::cube(64), 2);
-    let (glo, ghi) = data.series.global_range();
-    let _ = (glo, ghi);
-    let criterion_band = FixedBandCriterion::new(0.5, 10.0, data.series.len()).unwrap();
-    let truth0 = data.truth_frame(0);
-    let (mut cx, mut cy, mut cz, mut n) = (0usize, 0usize, 0usize, 0usize);
-    for (x, y, z) in truth0.set_coords() {
-        cx += x;
-        cy += y;
-        cz += z;
-        n += 1;
-    }
-    let seeds: Vec<Seed4> = vec![(0, cx / n, cy / n, cz / n)];
-
-    let mut g = c.benchmark_group("multires_tracking");
-    g.sample_size(10);
-    g.bench_function("exact_64c", |b| {
-        b.iter(|| black_box(grow_4d(&data.series, &criterion_band, &seeds)))
-    });
-    for &factor in &[2usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("multires_64c", factor),
-            &factor,
-            |b, &f| {
-                b.iter(|| black_box(grow_4d_multires(&data.series, &criterion_band, &seeds, f)))
-            },
-        );
-    }
     g.finish();
 }
 
@@ -166,9 +115,7 @@ criterion_group!(
     benches,
     bench_shell_sampling,
     bench_mlp_forward,
-    bench_octree,
     bench_region_grow_and_components,
-    bench_multires_tracking,
     bench_svm_vs_nn_prediction
 );
 criterion_main!(benches);

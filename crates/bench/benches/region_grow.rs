@@ -1,11 +1,11 @@
-//! Region-growing benchmarks for the frontier-parallel grower: serial BFS
-//! vs. the level-synchronous parallel algorithm at several thread counts,
-//! plus the cost of criterion table precomputation on its own. The series is
-//! 64³ × 8 frames so the per-round frontiers are large enough for the
-//! parallel path to matter.
+//! Region-growing benchmarks: the level-synchronous grower (`grow_4d`, one
+//! thread, per-frame acceptance tables) next to the FIFO oracle
+//! (`grow_4d_serial`, a criterion call per visited edge), plus the cost of
+//! criterion table precomputation on its own. The series is 64³ × 8 frames
+//! with a region that spans every frame, so the temporal exchange between
+//! rounds is exercised.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ifet_core::pipeline;
+use criterion::{criterion_group, criterion_main, Criterion};
 use ifet_tf::TransferFunction1D;
 use ifet_track::criterion::{AdaptiveTfCriterion, FixedBandCriterion};
 use ifet_track::{grow_4d, grow_4d_serial, GrowthCriterion, Seed4};
@@ -32,7 +32,7 @@ fn drifting_sphere_series() -> TimeSeries {
     TimeSeries::from_frames(frames)
 }
 
-fn bench_grow_parallel_vs_serial(c: &mut Criterion) {
+fn bench_grow(c: &mut Criterion) {
     let series = drifting_sphere_series();
     let criterion = FixedBandCriterion::new(0.25, 2.0, series.len()).unwrap();
     let seeds: Vec<Seed4> = vec![(0, 20, 32, 32)];
@@ -45,15 +45,12 @@ fn bench_grow_parallel_vs_serial(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("grow_4d_64c_8f");
     g.sample_size(10);
-    g.bench_function("serial", |b| {
+    g.bench_function("grow_4d_serial", |b| {
         b.iter(|| black_box(grow_4d_serial(&series, &criterion, &seeds).unwrap()))
     });
-    for &threads in &[1usize, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            let pool = pipeline::pool_with_threads(t);
-            b.iter(|| pool.install(|| black_box(grow_4d(&series, &criterion, &seeds).unwrap())))
-        });
-    }
+    g.bench_function("grow_4d", |b| {
+        b.iter(|| black_box(grow_4d(&series, &criterion, &seeds).unwrap()))
+    });
     g.finish();
 }
 
@@ -96,9 +93,5 @@ fn bench_criterion_precompute(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_grow_parallel_vs_serial,
-    bench_criterion_precompute
-);
+criterion_group!(benches, bench_grow, bench_criterion_precompute);
 criterion_main!(benches);

@@ -509,8 +509,9 @@ fn cmd_track_impl<S: FrameSource>(args: &Args, series: S) -> Result<String, Stri
     // No-op unless a loaded classifier drives the criterion (--dataspace-tau).
     session.set_classifier_batch(batch_opt(args)?);
 
-    // The frontier-parallel grower fans out per-frame work; `--threads`
-    // pins its worker count (0 = default sizing).
+    // Per-frame stages (IATF generation, acceptance tables, classification)
+    // fan out over frames; `--threads` pins their worker count (0 = default
+    // sizing). The grow rounds themselves are serial.
     let run_tracking = |session: &VisSession<S>| -> Result<TrackResult, String> {
         if let Some(tau) = args.opt("dataspace-tau") {
             let tau: f32 = tau.parse().map_err(|_| "bad --dataspace-tau")?;

@@ -36,7 +36,7 @@
 //! | [`ifet_nn`] | three-layer perceptron with back-propagation |
 //! | [`ifet_tf`] | 1D transfer functions and the IATF |
 //! | [`ifet_extract`] | data-space (painted) feature extraction |
-//! | [`ifet_track`] | 4D region growing, events, octrees |
+//! | [`ifet_track`] | 4D region growing, events, tracks |
 //! | [`ifet_render`] | software DVR with tracking overlay |
 //! | `ifet_core` | this façade: [`VisSession`], metrics, parallel pipeline |
 
@@ -76,9 +76,9 @@ pub mod prelude {
     pub use ifet_sim::LabeledSeries;
     pub use ifet_tf::{ColorMap, Iatf, IatfBuilder, IatfParams, TransferFunction1D};
     pub use ifet_track::{
-        extract_tracks, extract_tracks_from_parts, grow_4d, grow_4d_serial, label_masks,
-        track_events, AdaptiveTfCriterion, FeatureAttributes, FixedBandCriterion, GrowError,
-        MaskCriterion, Seed4, Track, TrackEnding, TrackSet,
+        extract_tracks, extract_tracks_from_parts, grow_4d, label_masks, track_events,
+        AdaptiveTfCriterion, FeatureAttributes, FixedBandCriterion, GrowError, MaskCriterion,
+        Seed4, Track, TrackEnding, TrackSet,
     };
     pub use ifet_volume::{
         CumulativeHistogram, Dims3, Histogram, Mask3, MultiSeries, MultiVolume, OutOfCoreSeries,

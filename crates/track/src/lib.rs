@@ -12,18 +12,18 @@
 //! - [`criterion`] — pluggable region-growing criteria: a fixed value band
 //!   (the conventional baseline) or per-frame adaptive transfer functions
 //!   (the IATF tracking criterion),
-//! - [`region_grow`] — the 4D region grower itself,
+//! - [`region_grow`] — the 4D region grower itself: one serial
+//!   level-synchronous grower with resumable checkpoints, plus the FIFO
+//!   reference the tests compare it against,
 //! - [`events`] — overlap-based correspondence and event detection
 //!   (continuation, split, merge, birth, death),
-//! - [`octree`] — octree feature storage for data reduction during tracking
-//!   (Silver & Wang's representation).
+//! - [`tracks`] — persistent tracks built from the events (lifetimes, fates,
+//!   attribute curves).
 
 pub mod attributes;
 pub mod components;
 pub mod criterion;
 pub mod events;
-pub mod multires;
-pub mod octree;
 pub mod region_grow;
 pub mod tracks;
 
@@ -33,8 +33,6 @@ pub use criterion::{
     AdaptiveTfCriterion, CriterionError, FixedBandCriterion, GrowthCriterion, MaskCriterion,
 };
 pub use events::{track_events, Event, EventKind, TrackReport};
-pub use multires::grow_4d_multires;
-pub use octree::FeatureOctree;
 pub use region_grow::{grow_4d, grow_4d_serial, GrowCheckpoint, GrowError, Grower, Seed4};
 pub use tracks::{
     extract_tracks, extract_tracks_from_parts, label_masks, Track, TrackEnding, TrackSet,

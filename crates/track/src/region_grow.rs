@@ -7,30 +7,27 @@
 //! time steps". The per-frame result is "saved in a 3D volume texture for
 //! rendering" — here, one [`Mask3`] per frame.
 //!
-//! Two implementations share the same contract:
+//! One grower, plus an oracle for the tests:
 //!
-//! * [`grow_4d_serial`] — the reference: a single queue, criterion evaluated
-//!   through `accept` at every visited edge.
-//! * [`grow_4d`] — level-synchronous frontier growth. Each round expands the
-//!   current frontier of every frame in parallel (spatial neighbours stay
-//!   within the frame, so each frame's mask is owned by one task), while
-//!   temporal candidates are exchanged between rounds at a barrier. Criterion
-//!   queries hit per-frame acceptance tables precomputed once via
-//!   [`GrowthCriterion::precompute_frame`].
+//! * [`grow_4d`] / [`Grower`] — serial level-synchronous frontier growth.
+//!   Each round walks the frames in ascending order: a frame's spatial
+//!   discoveries join its next frontier, its temporal proposals join one
+//!   shared list that is resolved after the last frame. Criterion queries hit
+//!   per-frame acceptance tables precomputed once via
+//!   [`GrowthCriterion::precompute_frame`]. Round boundaries are resumable
+//!   checkpoints.
+//! * [`grow_4d_serial`] — the reference the tests compare against: a single
+//!   FIFO queue, criterion evaluated through `accept` at every visited edge.
 //!
 //! The grown region is the connected component of the acceptance set that
 //! is reachable from the seeds — a fixpoint independent of visit order — so
-//! the two implementations return bit-identical masks (enforced by a
-//! property test).
+//! the two return bit-identical masks (enforced by a property test).
 
 use crate::criterion::GrowthCriterion;
 use ifet_obs as obs;
 use ifet_volume::{map_frames_windowed, Dims3, FrameSource, Mask3, SeriesError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::time::Instant;
-
-use rayon::prelude::*;
 
 /// A seed voxel in space-time: `(frame index, x, y, z)`.
 pub type Seed4 = (usize, usize, usize, usize);
@@ -91,7 +88,7 @@ impl std::fmt::Display for GrowError {
 
 impl std::error::Error for GrowError {}
 
-pub(crate) fn validate<S: FrameSource + ?Sized>(
+fn validate<S: FrameSource + ?Sized>(
     series: &S,
     criterion: &dyn GrowthCriterion,
     seeds: &[Seed4],
@@ -122,9 +119,9 @@ pub(crate) fn validate<S: FrameSource + ?Sized>(
 ///
 /// Returns one mask per frame (empty masks for frames the region never
 /// reaches). Seeds that fail the criterion are ignored (the user clicked
-/// background). Runs the frontier-parallel algorithm; the result is
-/// bit-identical to [`grow_4d_serial`] and independent of the frame source
-/// (in-core or paged — pinned by the out-of-core equivalence suite).
+/// background). The result is bit-identical to [`grow_4d_serial`] and
+/// independent of the frame source (in-core or paged — pinned by the
+/// out-of-core equivalence suite).
 pub fn grow_4d<S: FrameSource + ?Sized>(
     series: &S,
     criterion: &dyn GrowthCriterion,
@@ -141,34 +138,12 @@ pub fn grow_4d<S: FrameSource + ?Sized>(
     Ok(masks)
 }
 
-/// Per-frame growth state. One task owns one frame per round, so spatial
-/// expansion needs no synchronisation; temporal candidates cross frame
-/// boundaries and are applied serially between rounds.
-struct FrameState {
-    mask: Mask3,
-    frontier: Vec<usize>,
-    spatial_next: Vec<usize>,
-    temporal_out: Vec<(usize, usize)>, // (target frame, linear index)
-}
-
-impl FrameState {
-    fn fresh(d: Dims3) -> Self {
-        Self {
-            mask: Mask3::empty(d),
-            frontier: Vec::new(),
-            spatial_next: Vec::new(),
-            temporal_out: Vec::new(),
-        }
-    }
-}
-
 /// A serializable snapshot of an in-progress [`Grower`], taken at a round
 /// boundary. Together with the original series and criterion it is enough to
 /// resume growth and reach the exact fixpoint an uninterrupted run produces:
 /// the grown region is the reachable connected component of the acceptance
 /// set, which is independent of visit order, and at a round boundary the
-/// per-frame masks + frontiers are the *entire* algorithm state (the
-/// transient spatial/temporal buffers are always empty between rounds).
+/// per-frame masks + frontiers are the *entire* algorithm state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GrowCheckpoint {
     /// Per-frame region state so far.
@@ -179,8 +154,8 @@ pub struct GrowCheckpoint {
     pub rounds: u64,
 }
 
-/// The level-synchronous frontier-parallel 4D region grower, exposed as a
-/// resumable state machine.
+/// The serial level-synchronous 4D region grower, exposed as a resumable
+/// state machine.
 ///
 /// [`grow_4d`] is `start` + `run(None)` + `into_masks`. Long-running tracks
 /// can instead call [`Grower::run`] with a round budget, [`Grower::checkpoint`]
@@ -189,12 +164,12 @@ pub struct GrowCheckpoint {
 ///
 /// The criterion is consulted only during construction (to precompute
 /// per-frame acceptance tables), so the `Grower` borrows neither the series
-/// nor the criterion afterwards.
+/// nor the criterion afterwards. Its growth state is exactly the
+/// [`GrowCheckpoint`] it hands out.
 pub struct Grower {
     d: Dims3,
     tables: Vec<Mask3>,
-    states: Vec<FrameState>,
-    rounds: u64,
+    state: GrowCheckpoint,
 }
 
 impl Grower {
@@ -228,18 +203,22 @@ impl Grower {
         validate(series, criterion, seeds)?;
         let d = series.dims();
         let tables = Self::precompute_tables(series, criterion)?;
-        let mut states: Vec<FrameState> = (0..series.len()).map(|_| FrameState::fresh(d)).collect();
+        let mut masks: Vec<Mask3> = (0..series.len()).map(|_| Mask3::empty(d)).collect();
+        let mut frontiers: Vec<Vec<usize>> = vec![Vec::new(); series.len()];
         for &(fi, x, y, z) in seeds {
             let i = d.index(x, y, z);
-            if tables[fi].get_linear(i) && states[fi].mask.insert_linear(i) {
-                states[fi].frontier.push(i);
+            if tables[fi].get_linear(i) && masks[fi].insert_linear(i) {
+                frontiers[fi].push(i);
             }
         }
         Ok(Self {
             d,
             tables,
-            states,
-            rounds: 0,
+            state: GrowCheckpoint {
+                masks,
+                frontiers,
+                rounds: 0,
+            },
         })
     }
 
@@ -294,33 +273,21 @@ impl Grower {
             }
         }
         let tables = Self::precompute_tables(series, criterion)?;
-        let states = ckpt
-            .masks
-            .into_iter()
-            .zip(ckpt.frontiers)
-            .map(|(mask, frontier)| FrameState {
-                mask,
-                frontier,
-                spatial_next: Vec::new(),
-                temporal_out: Vec::new(),
-            })
-            .collect();
         Ok(Self {
             d,
             tables,
-            states,
-            rounds: ckpt.rounds,
+            state: ckpt,
         })
     }
 
     /// True when every frontier is exhausted (the fixpoint is reached).
     pub fn is_done(&self) -> bool {
-        self.states.iter().all(|s| s.frontier.is_empty())
+        self.state.frontiers.iter().all(|f| f.is_empty())
     }
 
     /// Completed rounds so far (including those before a resume).
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.state.rounds
     }
 
     /// Run at most `max_rounds` further rounds (all the way to the fixpoint
@@ -340,92 +307,81 @@ impl Grower {
         }
         obs::counter("rounds", this_call);
         if obs::is_enabled() {
-            let grown: usize = self.states.iter().map(|s| s.mask.count()).sum();
+            let grown: usize = self.state.masks.iter().map(|m| m.count()).sum();
             obs::counter("grown_voxels", grown as u64);
         }
         true
     }
 
     /// One level-synchronous round: expand every frame's frontier in
-    /// parallel, then exchange temporal candidates at the barrier.
+    /// ascending frame order, then resolve the temporal proposals in order.
+    /// Temporal acceptance waits for the last frame, so no frame sees another
+    /// frame's discoveries of this round.
     fn round(&mut self) {
         let _span = obs::span("track.round");
+        let d = self.d;
+        let GrowCheckpoint {
+            masks, frontiers, ..
+        } = &mut self.state;
         if obs::is_enabled() {
-            let frontier: usize = self.states.iter().map(|s| s.frontier.len()).sum();
+            let frontier: usize = frontiers.iter().map(Vec::len).sum();
             obs::counter("frontier", frontier as u64);
         }
-        let d = self.d;
-        let n_frames = self.states.len();
-        let tables = &self.tables;
-        self.states.par_iter_mut().enumerate().for_each(|(fi, st)| {
-            // Declared first so the flush runs after the per-frame work.
-            let _flush = obs::flush_guard();
-            let table = &tables[fi];
-            let frontier = std::mem::take(&mut st.frontier);
-            for &i in &frontier {
+        let n_frames = masks.len();
+        let mut accepted_spatial = 0usize;
+        let mut proposals: Vec<(usize, usize)> = Vec::new(); // (target frame, linear index)
+        let mut current: Vec<usize> = Vec::new();
+        for (fi, (mask, next)) in masks.iter_mut().zip(frontiers.iter_mut()).enumerate() {
+            // `next` takes over the previous frame's spent buffer.
+            std::mem::swap(&mut current, next);
+            next.clear();
+            let table = &self.tables[fi];
+            for &i in &current {
                 let (x, y, z) = d.coords(i);
                 for (nx, ny, nz) in d.neighbors6(x, y, z) {
                     let j = d.index(nx, ny, nz);
-                    if table.get_linear(j) && st.mask.insert_linear(j) {
-                        st.spatial_next.push(j);
+                    if table.get_linear(j) && mask.insert_linear(j) {
+                        next.push(j);
                     }
                 }
                 if fi > 0 {
-                    st.temporal_out.push((fi - 1, i));
+                    proposals.push((fi - 1, i));
                 }
                 if fi + 1 < n_frames {
-                    st.temporal_out.push((fi + 1, i));
+                    proposals.push((fi + 1, i));
                 }
             }
-            // Per-frame aggregates: sums are order-independent, so these are
-            // deterministic across thread counts.
-            obs::counter("accepted_spatial", st.spatial_next.len() as u64);
-            obs::counter("temporal_proposals", st.temporal_out.len() as u64);
-        });
-
-        // Barrier: promote spatial discoveries to the next frontier, then
-        // resolve cross-frame candidates against their target frames.
-        let barrier_start = Instant::now();
-        let mut accepted_temporal = 0u64;
-        let mut proposals: Vec<(usize, usize)> = Vec::new();
-        for st in &mut self.states {
-            st.frontier = std::mem::take(&mut st.spatial_next);
-            proposals.append(&mut st.temporal_out);
+            accepted_spatial += next.len();
         }
-        for (tf, i) in proposals {
-            if self.tables[tf].get_linear(i) && self.states[tf].mask.insert_linear(i) {
-                self.states[tf].frontier.push(i);
+        obs::counter("accepted_spatial", accepted_spatial as u64);
+        obs::counter("temporal_proposals", proposals.len() as u64);
+
+        let mut accepted_temporal = 0u64;
+        for &(tf, i) in &proposals {
+            if self.tables[tf].get_linear(i) && masks[tf].insert_linear(i) {
+                frontiers[tf].push(i);
                 accepted_temporal += 1;
             }
         }
         obs::counter("accepted_temporal", accepted_temporal);
-        obs::counter_runtime("barrier_ns", barrier_start.elapsed().as_nanos() as u64);
-        self.rounds += 1;
+        self.state.rounds += 1;
     }
 
-    /// Snapshot the growth state. Only valid between [`Grower::run`] calls
-    /// (which is the only time callers can observe the grower), where the
-    /// transient buffers are empty by construction.
+    /// Snapshot the growth state. Callers observe the grower only between
+    /// rounds, so the snapshot is always a round boundary.
     pub fn checkpoint(&self) -> GrowCheckpoint {
-        debug_assert!(self
-            .states
-            .iter()
-            .all(|s| s.spatial_next.is_empty() && s.temporal_out.is_empty()));
-        GrowCheckpoint {
-            masks: self.states.iter().map(|s| s.mask.clone()).collect(),
-            frontiers: self.states.iter().map(|s| s.frontier.clone()).collect(),
-            rounds: self.rounds,
-        }
+        self.state.clone()
     }
 
     /// Consume the grower, yielding one mask per frame.
     pub fn into_masks(self) -> Vec<Mask3> {
-        self.states.into_iter().map(|s| s.mask).collect()
+        self.state.masks
     }
 }
 
-/// Single-threaded reference implementation of [`grow_4d`]: one FIFO queue,
-/// criterion consulted through [`GrowthCriterion::accept`] at every edge.
+/// Reference implementation of [`grow_4d`], kept as the test oracle: one
+/// FIFO queue, criterion consulted through [`GrowthCriterion::accept`] at
+/// every edge. Not a production path.
 pub fn grow_4d_serial<S: FrameSource + ?Sized>(
     series: &S,
     criterion: &dyn GrowthCriterion,
@@ -614,6 +570,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_on_fixture() {
+        // `grow_4d` (level-synchronous rounds) against the FIFO oracle.
         let s = moving_ball_series();
         let c = FixedBandCriterion::new(0.3, 2.0, s.len()).unwrap();
         let seeds = [(0, 4, 8, 8), (3, 10, 8, 8), (1, 0, 0, 0)];
@@ -665,20 +622,38 @@ mod tests {
     fn checkpoint_resume_matches_uninterrupted() {
         let s = moving_ball_series();
         let c = FixedBandCriterion::new(0.3, 2.0, s.len()).unwrap();
-        let seeds = [(0, 4, 8, 8)];
-        let uninterrupted = grow_4d(&s, &c, &seeds).unwrap();
+        // The second seed set starts three frames at once, so some frames
+        // accept several temporal proposals in one round.
+        let seed_sets: [&[Seed4]; 2] = [
+            &[(0, 4, 8, 8)],
+            &[(0, 4, 8, 8), (1, 6, 8, 8), (3, 10, 8, 8)],
+        ];
 
         // Interrupt after every possible number of rounds; each resume must
-        // land on the identical fixpoint.
-        for budget in 0..20u64 {
-            let mut g = Grower::start(&s, &c, &seeds).unwrap();
-            let done = g.run(Some(budget));
-            let ckpt = g.checkpoint();
-            assert_eq!(done, ckpt.frontiers.iter().all(|f| f.is_empty()));
-            let mut resumed = Grower::resume(&s, &c, ckpt).unwrap();
-            assert!(resumed.run(None));
-            assert_eq!(resumed.into_masks(), uninterrupted, "budget {budget}");
+        // land on the identical fixpoint. The serialised checkpoints are
+        // digested in order (FNV-1a over their JSON), pinning every round's
+        // masks *and frontier order*: persisted `CHECKPT` bytes depend on
+        // both, so a round that reorders any frontier changes the digest.
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for seeds in seed_sets {
+            let uninterrupted = grow_4d(&s, &c, seeds).unwrap();
+            for budget in 0..20u64 {
+                let mut g = Grower::start(&s, &c, seeds).unwrap();
+                let done = g.run(Some(budget));
+                let ckpt = g.checkpoint();
+                assert_eq!(done, ckpt.frontiers.iter().all(|f| f.is_empty()));
+                for b in serde_json::to_string(&ckpt).unwrap().bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                let mut resumed = Grower::resume(&s, &c, ckpt).unwrap();
+                assert!(resumed.run(None));
+                assert_eq!(resumed.into_masks(), uninterrupted, "budget {budget}");
+            }
         }
+        assert_eq!(
+            digest, 0x8174_eb9f_f06b_258a,
+            "checkpoint digest {digest:#018x}"
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use ifet_track::components::{ComponentLabels, Connectivity};
 use ifet_track::criterion::{FixedBandCriterion, MaskCriterion};
 use ifet_track::region_grow::{grow_4d, grow_4d_serial};
-use ifet_track::FeatureOctree;
 use ifet_volume::{Dims3, Mask3, ScalarVolume, TimeSeries};
 use proptest::prelude::*;
 
@@ -41,13 +40,6 @@ fn multi_frame_masks_strategy() -> impl Strategy<Value = Vec<Mask3>> {
 }
 
 proptest! {
-    #[test]
-    fn octree_roundtrip_any_mask(m in mask_strategy()) {
-        let tree = FeatureOctree::from_mask(&m);
-        prop_assert_eq!(tree.to_mask(), m.clone());
-        prop_assert_eq!(tree.voxel_count(), m.count());
-    }
-
     #[test]
     fn component_sizes_partition_mask(m in mask_strategy()) {
         let l = ComponentLabels::label(&m, Connectivity::Six);
@@ -105,8 +97,8 @@ proptest! {
         masks in multi_frame_masks_strategy(),
         seed_fracs in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..4),
     ) {
-        // The tentpole contract: the frontier-parallel grower must be
-        // bit-identical to the serial BFS on arbitrary series/criteria/seeds.
+        // The grower contract: the level-synchronous `grow_4d` must be
+        // bit-identical to the FIFO oracle on arbitrary series/criteria/seeds.
         let d = masks[0].dims();
         let n = masks.len();
         let series = TimeSeries::from_frames(

@@ -4,7 +4,6 @@
 //! the paper contrasts against in Figure 7 — it removes noise blobs but also
 //! destroys fine detail on the large structures.
 
-use crate::dims::Dims3;
 use crate::volume::ScalarVolume;
 use rayon::prelude::*;
 
@@ -75,34 +74,6 @@ pub fn box_blur(vol: &ScalarVolume, r: usize) -> ScalarVolume {
     let a = convolve_axis(vol, &k, 0);
     let b = convolve_axis(&a, &k, 1);
     convolve_axis(&b, &k, 2)
-}
-
-/// Downsample a volume by an integer `factor` per axis using block averaging.
-/// Used to give the "scientist" different levels of detail (paper Section 4.3).
-pub fn downsample(vol: &ScalarVolume, factor: usize) -> ScalarVolume {
-    assert!(factor >= 1);
-    let d = vol.dims();
-    let nd = Dims3::new(
-        (d.nx / factor).max(1),
-        (d.ny / factor).max(1),
-        (d.nz / factor).max(1),
-    );
-    ScalarVolume::from_fn(nd, |x, y, z| {
-        let mut acc = 0.0f64;
-        let mut n = 0u32;
-        for dz in 0..factor {
-            for dy in 0..factor {
-                for dx in 0..factor {
-                    let (sx, sy, sz) = (x * factor + dx, y * factor + dy, z * factor + dz);
-                    if d.contains(sx, sy, sz) {
-                        acc += *vol.get(sx, sy, sz) as f64;
-                        n += 1;
-                    }
-                }
-            }
-        }
-        (acc / n.max(1) as f64) as f32
-    })
 }
 
 #[cfg(test)]
@@ -178,20 +149,5 @@ mod tests {
             }
         }
         assert_eq!(*b.get(0, 0, 0), 0.0);
-    }
-
-    #[test]
-    fn downsample_halves_dims() {
-        let v = ScalarVolume::from_fn(Dims3::cube(8), |x, _, _| x as f32);
-        let s = downsample(&v, 2);
-        assert_eq!(s.dims(), Dims3::cube(4));
-        // Block (0..2)^3 averages x = 0 and 1 -> 0.5
-        assert!((s.get(0, 0, 0) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn downsample_factor_one_is_identity() {
-        let v = ScalarVolume::from_fn(Dims3::cube(4), |x, y, z| (x + y + z) as f32);
-        assert_eq!(downsample(&v, 1), v);
     }
 }

@@ -4,7 +4,6 @@
 
 use ifet_core::prelude::*;
 use ifet_extract::baselines;
-use ifet_track::FeatureOctree;
 
 fn setup() -> (ifet_sim::LabeledSeries, VisSession) {
     let data = ifet_sim::reionization(Dims3::cube(40), 0xDA7A);
@@ -83,22 +82,6 @@ fn suppresses_small_noise_features() {
         "noise voxels: ours {} vs band {}",
         ours_noise.count(),
         band_noise.count()
-    );
-}
-
-#[test]
-fn extraction_result_octree_roundtrip() {
-    // Extracted features go into the Silver & Wang octree for data
-    // reduction; encoding must be lossless and actually compact.
-    let (data, session) = setup();
-    let mask = session.extract_data_space(310, 0.5).unwrap();
-    let _ = data;
-    let tree = FeatureOctree::from_mask(&mask);
-    assert_eq!(tree.to_mask(), mask);
-    assert!(
-        tree.compression_ratio() < 0.6,
-        "octree should compress the extraction, ratio {}",
-        tree.compression_ratio()
     );
 }
 

@@ -5,21 +5,23 @@
 //! `std::thread::scope`:
 //!
 //! - `par_iter()` / `into_par_iter()` / `par_chunks_mut()` producers,
-//! - `map` / `enumerate` / `filter` adaptors and `for_each` / `collect` /
-//!   `sum` / `reduce` terminals,
+//! - `map` / `enumerate` adaptors and `for_each` / `collect` terminals,
 //! - [`ThreadPoolBuilder`] / [`ThreadPool::install`] with an explicit
 //!   thread-count override, honoured by every parallel terminal.
 //!
-//! Work is split into one contiguous chunk per worker; terminals preserve
-//! input order where rayon does (`collect`). The implementation trades
-//! rayon's work stealing for simplicity — fine for the coarse-grained,
-//! evenly sized work units (frames, slabs, image rows, frontier blocks)
-//! this workspace feeds it.
+//! Terminals split the items into contiguous blocks, several per thread,
+//! and spawned workers claim blocks one at a time from a shared cursor, so
+//! a thread that draws the expensive items (the scanlines through a
+//! feature, the slabs a feature fills) does not hold the others idle. The
+//! calling thread runs no block when work fans out. `collect` preserves
+//! input order.
 
 #![allow(clippy::type_complexity)]
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub mod prelude;
 
@@ -103,16 +105,6 @@ impl ThreadPool {
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
         with_thread_override(self.num_threads, op)
     }
-
-    pub fn current_num_threads(&self) -> usize {
-        if self.num_threads > 0 {
-            self.num_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-    }
 }
 
 /// Split `items` into at most `parts` contiguous chunks of near-equal size.
@@ -171,31 +163,12 @@ where
         }
     }
 
-    pub fn filter<P>(self, pred: P) -> Par<B, impl Fn(B) -> Option<I> + Sync>
-    where
-        P: Fn(&I) -> bool + Sync,
-    {
-        let f = self.f;
-        Par {
-            base: self.base,
-            f: move |b| {
-                let item = f(b);
-                pred(&item).then_some(item)
-            },
-        }
-    }
-
-    /// Compatibility no-op (rayon uses it to bound splitting granularity).
-    pub fn with_min_len(self, _min: usize) -> Self {
-        self
-    }
-
     pub fn for_each<G>(self, g: G)
     where
         G: Fn(I) + Sync,
     {
         let f = self.f;
-        run_parts(self.base, |part| part.into_iter().for_each(|b| g(f(b))));
+        run_blocks(self.base, |block| block.into_iter().for_each(|b| g(f(b))));
     }
 
     /// Order-preserving collect.
@@ -204,120 +177,89 @@ where
         C: FromIterator<I>,
     {
         let f = self.f;
-        let parts = run_parts_map(self.base, |part| {
-            part.into_iter().map(&f).collect::<Vec<I>>()
+        let blocks = run_blocks(self.base, |block| {
+            block.into_iter().map(&f).collect::<Vec<I>>()
         });
-        parts.into_iter().flatten().collect()
-    }
-
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> I
-    where
-        ID: Fn() -> I + Sync,
-        OP: Fn(I, I) -> I + Sync,
-    {
-        let f = self.f;
-        let parts = run_parts_map(self.base, |part| {
-            part.into_iter().map(&f).fold(identity(), &op)
-        });
-        parts.into_iter().fold(identity(), &op)
-    }
-
-    pub fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<I> + std::iter::Sum<S> + Send,
-    {
-        let f = self.f;
-        let parts = run_parts_map(self.base, |part| part.into_iter().map(&f).sum::<S>());
-        parts.into_iter().sum()
-    }
-
-    pub fn count(self) -> usize {
-        let f = self.f;
-        let parts = run_parts_map(self.base, |part| part.into_iter().map(&f).count());
-        parts.into_iter().sum()
+        blocks.into_iter().flatten().collect()
     }
 }
 
-/// `filter` wraps items in `Option`; these terminals unwrap them.
-impl<B, I, F> Par<B, F>
-where
-    B: Send,
-    I: Send,
-    F: Fn(B) -> Option<I> + Sync,
-{
-    pub fn collect_filtered<C>(self) -> C
-    where
-        C: FromIterator<I>,
-    {
-        let f = self.f;
-        let parts = run_parts_map(self.base, |part| {
-            part.into_iter().filter_map(&f).collect::<Vec<I>>()
-        });
-        parts.into_iter().flatten().collect()
-    }
-}
+/// Blocks per thread: enough that the thread drawing the most expensive
+/// items does not decide the wall time alone, few enough that claiming
+/// stays cheap.
+const BLOCKS_PER_THREAD: usize = 8;
 
-/// Execute `work` over contiguous parts of `items` on scoped threads.
-fn run_parts<B: Send>(items: Vec<B>, work: impl Fn(Vec<B>) + Sync) {
-    let threads = current_num_threads();
-    if threads <= 1 || items.len() <= 1 {
-        work(items);
-        return;
-    }
-    let parts = split_vec(items, threads);
-    std::thread::scope(|s| {
-        let work = &work;
-        for part in parts {
-            s.spawn(move || work(part));
-        }
-    });
-}
-
-/// As [`run_parts`], returning each part's result in input order.
-fn run_parts_map<B: Send, R: Send>(items: Vec<B>, work: impl Fn(Vec<B>) -> R + Sync) -> Vec<R> {
+/// Execute `work` over contiguous blocks of `items` and return each block's
+/// result in input order.
+///
+/// With more than one thread and more than one item, the items are split
+/// into `min(n, BLOCKS_PER_THREAD × threads)` blocks and spawned workers
+/// claim the next unclaimed block from a shared cursor until none are left;
+/// the calling thread runs none of them. Otherwise the caller runs every
+/// item itself as one block. Either way each item runs exactly once.
+fn run_blocks<B: Send, R: Send>(items: Vec<B>, work: impl Fn(Vec<B>) -> R + Sync) -> Vec<R> {
     let threads = current_num_threads();
     if threads <= 1 || items.len() <= 1 {
         return vec![work(items)];
     }
-    let parts = split_vec(items, threads);
+    let blocks: Vec<Mutex<Option<Vec<B>>>> = split_vec(items, BLOCKS_PER_THREAD * threads)
+        .into_iter()
+        .map(|block| Mutex::new(Some(block)))
+        .collect();
+    let results: Vec<Mutex<Option<R>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        let work = &work;
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| s.spawn(move || work(part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rayon shim worker panicked"))
-            .collect()
-    })
-}
-
-/// `rayon::join` — runs both closures, in parallel when threads allow.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("rayon shim join worker panicked");
-        (ra, rb)
-    })
+        for _ in 0..threads.min(blocks.len()) {
+            s.spawn(|| {
+                // `fetch_add` hands each index to one worker, so neither lock
+                // is ever contended. `Relaxed` suffices: the cursor publishes
+                // no data; items and results pass through the mutexes, and
+                // the scope's join orders every result before the caller
+                // reads it.
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(block) = blocks.get(i) else { break };
+                    let items = block
+                        .lock()
+                        .expect("no lock is held across `work`")
+                        .take()
+                        .expect("each block is claimed once");
+                    let out = work(items);
+                    *results[i].lock().expect("no lock is held across `work`") = Some(out);
+                }
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| {
+            r.into_inner()
+                .expect("no lock is held across `work`")
+                .expect("every block runs")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::mpsc;
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
+
+    fn pool(threads: usize) -> ThreadPool {
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    /// Deliberately uneven work: every seventh item spins far longer.
+    fn uneven_cost(i: usize) -> u64 {
+        let spins = if i.is_multiple_of(7) { 20_000 } else { 50 };
+        (0..spins).fold(i as u64, |acc, k| std::hint::black_box(acc ^ k))
+    }
 
     #[test]
     fn map_collect_preserves_order() {
@@ -347,35 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_reduce() {
-        let v: Vec<u64> = (1..=100).collect();
-        let s: u64 = v.par_iter().map(|&x| x).sum();
-        assert_eq!(s, 5050);
-        let m = v.par_iter().map(|&x| x).reduce(|| 0, u64::max);
-        assert_eq!(m, 100);
-    }
-
-    #[test]
-    fn filter_collect() {
-        let v: Vec<u64> = (0..100).collect();
-        let evens: Vec<u64> = v
-            .par_iter()
-            .map(|&x| x)
-            .filter(|x| x % 2 == 0)
-            .collect_filtered();
-        assert_eq!(evens.len(), 50);
-    }
-
-    #[test]
     fn pool_install_overrides_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        assert_eq!(pool.install(current_num_threads), 3);
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = join(|| 1 + 1, || 2 + 2);
-        assert_eq!((a, b), (2, 4));
+        assert_eq!(pool(3).install(current_num_threads), 3);
     }
 
     #[test]
@@ -384,5 +299,103 @@ mod tests {
         assert_eq!(parts.len(), 3);
         let flat: Vec<_> = parts.into_iter().flatten().collect();
         assert_eq!(flat, (0..10).collect::<Vec<_>>());
+    }
+
+    /// A slow item holds up only its own block: item 0 waits for every item
+    /// outside its block to finish, which the other worker must do on its
+    /// own. With one fixed half per thread, items 4..32 queue behind item 0
+    /// and the wait times out.
+    #[test]
+    fn slow_item_does_not_stall_the_rest() {
+        const N: usize = 64;
+        const THREADS: usize = 2;
+        let outside = N - N / (BLOCKS_PER_THREAD * THREADS);
+        let (tx, rx) = mpsc::sync_channel::<()>(1);
+        let rx = Mutex::new(rx);
+        let done = AtomicUsize::new(0);
+        let out: Vec<usize> = pool(THREADS).install(|| {
+            (0..N)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 0 {
+                        rx.lock()
+                            .unwrap()
+                            .recv_timeout(Duration::from_secs(10))
+                            .expect("item 0 waited 10 s: the other items were stalled behind it");
+                    } else if i >= N - outside && done.fetch_add(1, Ordering::SeqCst) + 1 == outside
+                    {
+                        tx.send(()).unwrap();
+                    }
+                    i
+                })
+                .collect()
+        });
+        assert_eq!(out, (0..N).collect::<Vec<_>>());
+    }
+
+    /// `collect` keeps input order and `for_each` and `collect` run every
+    /// item exactly once, whatever the item count, thread count and cost.
+    #[test]
+    fn every_item_runs_once_in_input_order() {
+        for n in [0usize, 1, 2, 7, 64, 1000] {
+            for threads in [1usize, 2, 3, 8] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out: Vec<(usize, u64)> = pool(threads).install(|| {
+                    (0..n)
+                        .into_par_iter()
+                        .map(|i| {
+                            runs[i].fetch_add(1, Ordering::SeqCst);
+                            (i, uneven_cost(i))
+                        })
+                        .collect()
+                });
+                let want: Vec<(usize, u64)> = (0..n).map(|i| (i, uneven_cost(i))).collect();
+                assert_eq!(out, want, "n {n} threads {threads}");
+
+                pool(threads).install(|| {
+                    runs.par_iter().enumerate().for_each(|(i, r)| {
+                        std::hint::black_box(uneven_cost(i));
+                        r.fetch_add(1, Ordering::SeqCst);
+                    })
+                });
+                for (i, r) in runs.iter().enumerate() {
+                    assert_eq!(
+                        r.load(Ordering::SeqCst),
+                        2,
+                        "item {i}, n {n} threads {threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Spans are live only on the calling thread, so whether it runs items
+    /// must not depend on scheduling: it runs none when work fans out and
+    /// all of them otherwise.
+    #[test]
+    fn caller_runs_items_only_without_fan_out() {
+        let caller = thread::current().id();
+        let ran_on = |threads: usize, n: usize| -> Vec<ThreadId> {
+            pool(threads).install(|| {
+                (0..n)
+                    .into_par_iter()
+                    .map(|_| thread::current().id())
+                    .collect()
+            })
+        };
+        for threads in [2usize, 3, 8] {
+            for n in [2usize, 7, 64] {
+                let ids = ran_on(threads, n);
+                assert_eq!(ids.len(), n);
+                assert!(
+                    ids.iter().all(|&id| id != caller),
+                    "threads {threads} n {n}"
+                );
+            }
+            assert_eq!(ran_on(threads, 1), vec![caller]);
+        }
+        for n in [1usize, 7, 64] {
+            assert_eq!(ran_on(1, n), vec![caller; n]);
+        }
     }
 }

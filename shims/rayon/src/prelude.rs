@@ -16,19 +16,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
-/// `.par_iter_mut()` on mutable slices.
-pub trait IntoParallelRefMutIterator<'a> {
-    type Item: Send + 'a;
-    fn par_iter_mut(&'a mut self) -> Par<Self::Item, impl Fn(Self::Item) -> Self::Item + Sync>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = &'a mut T;
-    fn par_iter_mut(&'a mut self) -> Par<&'a mut T, impl Fn(&'a mut T) -> &'a mut T + Sync> {
-        par_from(self.iter_mut().collect())
-    }
-}
-
 /// `.into_par_iter()` on owning / range producers.
 pub trait IntoParallelIterator {
     type Item: Send;
@@ -49,13 +36,6 @@ impl IntoParallelIterator for Range<usize> {
     }
 }
 
-impl IntoParallelIterator for Range<u32> {
-    type Item = u32;
-    fn into_par_iter(self) -> Par<u32, impl Fn(u32) -> u32 + Sync> {
-        par_from(self.collect())
-    }
-}
-
 /// `.par_chunks_mut()` on mutable slices.
 pub trait ParallelSliceMut<'a, T: Send + 'a> {
     fn par_chunks_mut(
@@ -71,17 +51,5 @@ impl<'a, T: Send + 'a> ParallelSliceMut<'a, T> for [T] {
     ) -> Par<&'a mut [T], impl Fn(&'a mut [T]) -> &'a mut [T] + Sync> {
         assert!(chunk_size > 0, "chunk size must be non-zero");
         par_from(self.chunks_mut(chunk_size).collect())
-    }
-}
-
-/// `.par_chunks()` on shared slices.
-pub trait ParallelSlice<'a, T: Sync + 'a> {
-    fn par_chunks(&'a self, chunk_size: usize) -> Par<&'a [T], impl Fn(&'a [T]) -> &'a [T] + Sync>;
-}
-
-impl<'a, T: Sync + 'a> ParallelSlice<'a, T> for [T] {
-    fn par_chunks(&'a self, chunk_size: usize) -> Par<&'a [T], impl Fn(&'a [T]) -> &'a [T] + Sync> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        par_from(self.chunks(chunk_size).collect())
     }
 }

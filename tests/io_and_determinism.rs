@@ -70,20 +70,73 @@ fn whole_figure_pipeline_is_deterministic() {
 
 #[test]
 fn renderer_is_deterministic_across_thread_counts() {
-    // Scanline parallelism must not change pixels.
-    let data = ifet_sim::turbulent_vortex(Dims3::cube(24), 0x13);
-    let session = VisSession::new(data.series.clone()).unwrap();
-    let (glo, ghi) = session.series().global_range();
-    let tf = TransferFunction1D::band(glo, ghi, 0.5, ghi, 0.8);
-    let t0 = data.series.steps()[0];
+    // Scanline parallelism must not change pixels. The feature sits in one
+    // corner of the volume, so the rows through it cost far more than the
+    // empty rest and the workers finish their rows unevenly.
+    let d = Dims3::cube(24);
+    let blob = |x: usize, y: usize, z: usize| {
+        let r2 = [(x, 6.0), (y, 5.0), (z, 15.0)]
+            .iter()
+            .map(|&(c, m)| (c as f32 - m).powi(2))
+            .sum::<f32>();
+        (-r2 / 20.0).exp()
+    };
+    let frame = |scale: f32| ScalarVolume::from_fn(d, |x, y, z| scale * blob(x, y, z));
+    let series = TimeSeries::from_frames(vec![(0, frame(1.0)), (1, frame(0.9))]);
+    let truth = Mask3::from_fn(d, |x, y, z| blob(x, y, z) > 0.5);
 
-    let single = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-        .install(|| session.render_with_tf(t0, &tf, 48, 48));
-    let multi = session.render_with_tf(t0, &tf, 48, 48);
-    assert_eq!(single, multi);
+    let mut session = VisSession::new(series).unwrap();
+    session
+        .add_paints(PaintOracle::new(0x13).paint_from_truth(0, &truth, 40, 40))
+        .unwrap();
+    session
+        .train_classifier(
+            FeatureSpec::default(),
+            ClassifierParams {
+                epochs: 30,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let (glo, ghi) = session.series().global_range();
+    let base = TransferFunction1D::band(glo, ghi, 0.2, ghi, 0.4);
+    let adaptive = TransferFunction1D::band(glo, ghi, 0.5, ghi, 0.9);
+
+    let render_all = |threads: usize| -> Vec<(&str, Image)> {
+        pipeline::pool_with_threads(threads).install(|| {
+            vec![
+                ("tf", session.render_with_tf(0, &base, 48, 48)),
+                (
+                    "tracked",
+                    session.render_tracked(0, &truth, &base, &adaptive, 48, 48),
+                ),
+                ("classified", session.render_classified(0, 48, 48).unwrap()),
+                ("mip", session.render_mip(0, 48, 48)),
+            ]
+        })
+    };
+    let bits = |img: &Image| {
+        img.as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    let reference = render_all(1);
+    for (mode, img) in &reference {
+        let lit = img.as_slice().iter().filter(|&&v| v > 0.0).count();
+        assert!(
+            lit > 0 && lit < img.as_slice().len(),
+            "{mode}: no feature in view"
+        );
+    }
+    for threads in [2, 3, 4] {
+        for ((mode, want), (_, got)) in reference.iter().zip(render_all(threads)) {
+            assert!(
+                bits(want) == bits(&got),
+                "{mode} differs at {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]

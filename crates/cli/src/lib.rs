@@ -413,14 +413,13 @@ pub fn cmd_train_iatf(args: &Args) -> Result<String, String> {
     let dir = args.require("data")?;
     let out = args.require("out")?;
     let series = load_series(dir)?;
-    let keys = args.all("key");
+    let keys = key_specs(args, &series)?;
     if keys.is_empty() {
         return Err("train-iatf needs at least one --key T:LO:HI".into());
     }
     let (glo, ghi) = series.global_range();
     let mut session = VisSession::new(series).unwrap();
-    for k in keys {
-        let (t, lo, hi) = parse_key_spec(k)?;
+    for (t, lo, hi) in keys {
         session.add_key_frame(t, TransferFunction1D::band(glo, ghi, lo, hi, 1.0));
     }
     let epochs: usize = args.opt_parse("epochs", 600usize)?;
@@ -443,6 +442,17 @@ pub fn cmd_train_iatf(args: &Args) -> Result<String, String> {
     ))
 }
 
+/// The `--key T:LO:HI` specs, each checked against the series' steps.
+fn key_specs(args: &Args, series: &impl FrameSource) -> Result<Vec<(u32, f32, f32)>, String> {
+    args.all("key")
+        .iter()
+        .map(|k| match parse_key_spec(k)? {
+            (t, ..) if series.index_of_step(t).is_none() => Err(format!("step {t} not in series")),
+            key => Ok(key),
+        })
+        .collect()
+}
+
 fn load_iatf(path: &str) -> Result<Iatf, String> {
     let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     serde_json::from_str(&json).map_err(|e| format!("bad IATF file: {e}"))
@@ -455,6 +465,9 @@ pub fn cmd_render(args: &Args) -> Result<String, String> {
     let t: u32 = args.require("step")?.parse().map_err(|_| "bad --step")?;
     let size: usize = args.opt_parse("size", 256usize)?;
     let series = load_series(dir)?;
+    let frame = series
+        .frame_at_step(t)
+        .ok_or_else(|| format!("step {t} not in series"))?;
     let (glo, ghi) = series.global_range();
     let mut session = VisSession::new(series.clone()).unwrap();
     // `--batch` maps onto the ray caster's packet width here (clamped to
@@ -462,11 +475,7 @@ pub fn cmd_render(args: &Args) -> Result<String, String> {
     session.renderer.params.packet = batch_opt(args)?;
 
     let tf = if let Some(path) = args.opt("iatf") {
-        let iatf = load_iatf(path)?;
-        let frame = series
-            .frame_at_step(t)
-            .ok_or_else(|| format!("step {t} not in series"))?;
-        iatf.generate(t, frame)
+        load_iatf(path)?.generate(t, frame)
     } else if let Some(band) = args.opt("band") {
         let (lo, hi) = parse_band(band)?;
         TransferFunction1D::band(glo, ghi, lo, hi, 0.9)
@@ -884,11 +893,10 @@ fn cmd_session_save<S: FrameSource>(args: &Args, series: S) -> Result<String, St
     let dir = args.require("data")?;
     let out = args.require("out")?;
     let (glo, ghi) = series.global_range().map_err(|e| e.to_string())?;
+    let keys = key_specs(args, &series)?;
     let mut session = VisSession::new(series).map_err(|e| e.to_string())?;
 
-    let keys = args.all("key");
-    for k in keys {
-        let (t, lo, hi) = parse_key_spec(k)?;
+    for &(t, lo, hi) in &keys {
         session.add_key_frame(t, TransferFunction1D::band(glo, ghi, lo, hi, 1.0));
     }
     let mut notes = Vec::new();
@@ -2510,6 +2518,29 @@ mod tests {
             std::fs::read(dir.join("img_b.ppm")).unwrap(),
             "--batch must not change rendered bytes"
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn steps_missing_from_the_series_are_errors() {
+        let dir = std::env::temp_dir().join(format!("ifet_cli_step_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dirs = dir.to_str().unwrap().to_string();
+        run(&parse_args(&argv(&format!(
+            "generate turbulent-vortex --out {dirs} --dims 12"
+        )))
+        .unwrap())
+        .unwrap();
+        for cmd in [
+            format!("render --data {dirs} --step 0 --band 0.5:2.0 --size 8 --out {dirs}/img.ppm"),
+            format!("train-iatf --data {dirs} --key 0:0.5:1.1 --out {dirs}/iatf.json"),
+            format!(
+                "session save --data {dirs} --key 50:0.5:1.1 --key 0:0.5:1.1 --out {dirs}/s.ifet"
+            ),
+        ] {
+            let err = run(&parse_args(&argv(&cmd)).unwrap()).unwrap_err();
+            assert_eq!(err, "step 0 not in series", "{cmd}");
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -3,9 +3,8 @@
 //! the painted data-space tracking path (`session save --paint` +
 //! `track --session --dataspace-tau`).
 //!
-//! One test function on purpose: captures serialize process-wide, but any
-//! concurrently running *uncaptured* instrumented code would leak counters
-//! into whichever capture is live. A single test keeps the binary race-free.
+//! One test function: each step feeds the next (generated data, a saved
+//! session, the traces compared across `--threads`).
 
 use ifet_cli::{parse_args, run};
 use ifet_core::obs;

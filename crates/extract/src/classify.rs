@@ -700,10 +700,11 @@ impl DataSpaceClassifier {
         let slab = d.nx * d.ny;
         let b = self.batch_rows();
         let mut data = vec![0.0f32; d.len()];
+        let obs = obs::handle();
         data.par_chunks_mut(slab).enumerate().for_each(|(z, out)| {
-            // Declared first so the flush runs after the predictor returns
+            // Declared first so the merge runs after the predictor returns
             // its buffers (take/put bracket the pool counters).
-            let _flush = obs::flush_guard();
+            let _obs = obs.enter();
             let mut predictor = self.predictor();
             for y in 0..d.ny {
                 let row = &mut out[d.nx * y..d.nx * (y + 1)];
@@ -742,10 +743,11 @@ impl DataSpaceClassifier {
         let slab = d.nx * d.ny;
         let b = self.batch_rows();
         let mut data = vec![0.0f32; d.len()];
+        let obs = obs::handle();
         data.par_chunks_mut(slab).enumerate().for_each(|(z, out)| {
-            // Declared first so the flush runs after the predictor returns
+            // Declared first so the merge runs after the predictor returns
             // its buffers (take/put bracket the pool counters).
-            let _flush = obs::flush_guard();
+            let _obs = obs.enter();
             self.predictor()
                 .predict_slice_into(frame, z, t_norm, b, out);
             obs::counter("voxels_classified", out.len() as u64);
@@ -803,9 +805,6 @@ impl DataSpaceClassifier {
     /// regardless of which entry point drives it, so streamed and
     /// materialized outputs are byte-identical.
     fn classify_one_frame(&self, t: u32, frame: &ScalarVolume, tn: f32) -> ScalarVolume {
-        // Declared first so the flush runs after the predictor
-        // returns its buffers (take/put bracket the pool counters).
-        let _flush = obs::flush_guard();
         // Within a frame we stay sequential: frame-level parallelism
         // already saturates the pool for multi-frame series.
         let _ = t;

@@ -1,26 +1,34 @@
 //! Runtime observability: structured tracing spans and per-stage counters.
 //!
-//! This crate is the registry behind `ifet <cmd> --trace/--profile`. It is
+//! This crate is the recorder behind `ifet <cmd> --trace/--profile`. It is
 //! deliberately dependency-free (only the offline serde shims, for JSON) and
-//! designed around two constraints:
+//! designed around three constraints:
 //!
-//! 1. **Near-zero cost when disabled.** Every entry point starts with a single
-//!    relaxed atomic load; instrumented code reports *aggregates* (one counter
-//!    call per slab / frame / round / section, never per voxel), so the
-//!    disabled path adds a handful of branches to work units that each cost
-//!    milliseconds. The `obs_overhead` bench pins this below 5%.
+//! 1. **Near-zero cost when disabled.** Every entry point starts by reading
+//!    one destructor-free thread-local flag; instrumented code reports
+//!    *aggregates* (one counter call per slab / frame / round / section,
+//!    never per voxel), so the disabled path adds a handful of branches to
+//!    work units that each cost milliseconds. The `obs_overhead` bench pins
+//!    this below 5%.
 //!
 //! 2. **Deterministic counters across thread counts.** Counter deltas from
-//!    worker threads accumulate in thread-local buffers and are merged into
-//!    the innermost open span when it closes (u64 addition commutes, so the
-//!    merge order does not matter). Counters are sorted by name at span close.
-//!    Timings and scheduling-dependent values (scratch-pool hits, barrier
-//!    waits) are recorded through [`counter_runtime`] and stripped by
+//!    worker threads buffer in the worker's scope and merge into the
+//!    capture's inbox when its [`Handle::enter`] guard drops; the owner
+//!    folds them into the innermost open span at its next span open or
+//!    close (u64 addition commutes, so the merge order does not matter).
+//!    Counters are sorted by name at span close. Timings and
+//!    scheduling-dependent values (scratch-pool hits, cache misses) are
+//!    recorded through [`counter_runtime`] and stripped by
 //!    [`Trace::to_stable`], so the *stable* rendering of a trace is
 //!    byte-identical across `--threads 1/2/4`.
 //!
-//! Spans form a tree rooted at the name passed to [`start`]/[`capture`]. Only
-//! the thread that called `start` may open spans (the rayon shim runs
+//! 3. **Independent captures.** Threads reach a capture only through a
+//!    thread-local scope, installed by [`capture`] or [`Handle::enter`]. A
+//!    thread with no scope is inert, so neither uncaptured work nor a
+//!    capture on another thread can reach a trace.
+//!
+//! Spans form a tree rooted at the name passed to [`capture`]. Only the
+//! owner, the thread that called `capture`, opens spans (the rayon shim runs
 //! `ThreadPool::install` closures on the calling thread, so pipeline stages
 //! always satisfy this); worker threads contribute counters only. A collected
 //! tree serializes to a versioned JSON document (schema
@@ -28,10 +36,9 @@
 //! mirroring the persistence layer's corruption tests.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread::ThreadId;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 use serde::value::Number;
@@ -42,27 +49,8 @@ use serde::Value;
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------------
-// Registry state
+// Capture state
 // ---------------------------------------------------------------------------
-
-/// Fast-path gate: checked (relaxed) before any other work.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Capture generation. Thread-local buffers stamp the epoch they were filled
-/// under; a stale stamp means the buffer belongs to a previous capture and is
-/// discarded instead of merged.
-static EPOCH: AtomicU64 = AtomicU64::new(1);
-
-/// Counter deltas flushed by worker threads, awaiting attribution to the
-/// innermost open span. `(name, delta, runtime)`.
-static PENDING: Mutex<Vec<(&'static str, u64, bool)>> = Mutex::new(Vec::new());
-
-/// The open-span stack. `None` while no capture is active.
-static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
-
-/// Serializes whole captures (used by `capture`, and so by tests that must
-/// not see each other's counters).
-static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
 
 struct OpenSpan {
     name: Cow<'static, str>,
@@ -129,125 +117,172 @@ impl OpenSpan {
     }
 }
 
-struct Recorder {
-    owner: ThreadId,
+/// A counter delta: `(name, delta, runtime)`.
+type Entry = (&'static str, u64, bool);
+
+/// The only state a capture shares: counters merged by workers' [`Entered`]
+/// guards, waiting for the owner to fold them into the innermost open span.
+type Inbox = Mutex<Vec<Entry>>;
+
+fn lock(inbox: &Inbox) -> std::sync::MutexGuard<'_, Vec<Entry>> {
+    // Every update is a whole append or drain, so a poisoned inbox still
+    // holds whole entries.
+    inbox.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// One thread's part in a capture.
+struct Scope {
+    inbox: Arc<Inbox>,
+    /// Open spans, root first. Empty on a worker, which opens no spans.
     stack: Vec<OpenSpan>,
+    /// Counters recorded on this thread since the last fold or merge.
+    buf: Vec<Entry>,
+}
+
+impl Scope {
+    /// Fold this thread's counters and the workers' merged ones into the
+    /// innermost open span. Owner only: a worker has no span to fold into.
+    fn fold(&mut self) {
+        if let Some(top) = self.stack.last_mut() {
+            for (name, delta, runtime) in self.buf.drain(..).chain(lock(&self.inbox).drain(..)) {
+                top.add(name, delta, runtime);
+            }
+        }
+    }
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalBuf> = const {
-        RefCell::new(LocalBuf { epoch: 0, entries: Vec::new() })
-    };
+    /// Whether this thread has a scope. Destructor-free, so reading it is the
+    /// whole disabled path; `swap_scope` keeps it in step with `SCOPE`.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static SCOPE: RefCell<Option<Scope>> = const { RefCell::new(None) };
 }
 
-struct LocalBuf {
-    epoch: u64,
-    entries: Vec<(&'static str, u64, bool)>,
+/// Install `scope` on this thread and return the one it replaces.
+fn swap_scope(scope: Option<Scope>) -> Option<Scope> {
+    ACTIVE.with(|a| a.set(scope.is_some()));
+    SCOPE.with(|s| s.replace(scope))
 }
 
-fn lock_capture() -> std::sync::MutexGuard<'static, ()> {
-    // A panic inside a captured closure poisons the lock; the lock only
-    // serializes captures, so recovery is always safe.
-    CAPTURE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+/// Run `f` on this thread's scope; `None` when the thread has none.
+fn with_scope<R>(f: impl FnOnce(&mut Scope) -> R) -> Option<R> {
+    SCOPE.with(|s| s.borrow_mut().as_mut().map(f))
 }
 
-fn lock_pending() -> std::sync::MutexGuard<'static, Vec<(&'static str, u64, bool)>> {
-    PENDING.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn lock_recorder() -> std::sync::MutexGuard<'static, Option<Recorder>> {
-    RECORDER.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn drain_pending_into_top(rec: &mut Recorder) {
-    let mut pending = lock_pending();
-    if pending.is_empty() {
-        return;
-    }
-    if let Some(top) = rec.stack.last_mut() {
-        for (name, delta, runtime) in pending.drain(..) {
-            top.add(name, delta, runtime);
-        }
-    } else {
-        pending.clear();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Public recording API
-// ---------------------------------------------------------------------------
-
-/// Whether a capture is currently active. Use to gate counter *computations*
-/// whose value is itself costly (e.g. a mask popcount); plain [`counter`]
-/// calls self-gate and do not need this.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Begin collecting under a root span. Any capture already active is
-/// discarded. Only the calling thread may subsequently open spans.
-pub fn start(root: &'static str) {
-    let _ = finish();
-    EPOCH.fetch_add(1, Ordering::SeqCst);
-    lock_pending().clear();
-    *lock_recorder() = Some(Recorder {
-        owner: std::thread::current().id(),
-        stack: vec![OpenSpan::new(Cow::Borrowed(root))],
-    });
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Stop collecting and return the span tree, or `None` if no capture was
-/// active. Spans still open (guards not yet dropped) are closed bottom-up.
-pub fn finish() -> Option<Trace> {
-    if !is_enabled() {
-        return None;
-    }
-    flush();
-    let mut guard = lock_recorder();
-    ENABLED.store(false, Ordering::SeqCst);
-    let mut rec = guard.take()?;
-    drop(guard);
-    drain_pending_into_top(&mut rec);
-    let mut closed: Option<Span> = None;
-    while let Some(open) = rec.stack.pop() {
-        let mut span = open.close();
-        if let Some(child) = closed.take() {
-            span.children.push(child);
-        }
-        closed = Some(span);
-    }
-    closed.map(|root| Trace {
+/// Nest `spans`, listed root first, each inside the one before it.
+fn nest(spans: impl DoubleEndedIterator<Item = Span>) -> Option<Trace> {
+    let root = spans.rev().reduce(|child, mut parent| {
+        parent.children.push(child);
+        parent
+    })?;
+    Some(Trace {
         schema: TRACE_SCHEMA_VERSION,
         mode: TraceMode::Full,
         root,
     })
 }
 
+// ---------------------------------------------------------------------------
+// Public recording API
+// ---------------------------------------------------------------------------
+
+/// Whether this thread records into a capture. Use to gate counter
+/// *computations* whose value is itself costly (e.g. a mask popcount); plain
+/// [`counter`] calls self-gate and do not need this.
+#[inline]
+pub fn is_enabled() -> bool {
+    ACTIVE.with(Cell::get)
+}
+
 /// Run `f` under a fresh capture rooted at `root` and return its result with
-/// the collected trace. Captures are globally serialized, so concurrently
-/// running tests cannot pollute each other's counters. If `f` panics, the
-/// capture is torn down before the panic propagates.
+/// the collected trace. The capture sees this thread and the workers that
+/// enter its [`handle`], nothing else, so captures on different threads are
+/// independent. A capture already active on this thread is shadowed until
+/// `f` returns or panics. Spans still open when `f` returns are closed
+/// bottom-up.
 pub fn capture<R>(root: &'static str, f: impl FnOnce() -> R) -> (R, Trace) {
-    let _serialize = lock_capture();
-    struct TearDown;
-    impl Drop for TearDown {
-        fn drop(&mut self) {
-            let _ = finish();
-        }
-    }
-    let armed = TearDown;
-    start(root);
+    let entered = Entered::new(Some(Scope {
+        inbox: Arc::default(),
+        stack: vec![OpenSpan::new(Cow::Borrowed(root))],
+        buf: Vec::new(),
+    }));
     let result = f();
-    std::mem::forget(armed);
-    let trace = finish().expect("capture was active");
+    let trace = with_scope(|s| {
+        s.fold();
+        nest(s.stack.drain(..).map(OpenSpan::close))
+    })
+    .flatten()
+    .expect("the capture's scope is installed until it returns");
+    drop(entered);
     (result, trace)
 }
 
+/// The capture this thread records into, for worker threads to
+/// [`Handle::enter`]. Inert when this thread records into none.
+pub fn handle() -> Handle {
+    Handle(with_scope(|s| Arc::downgrade(&s.inbox)).unwrap_or_default())
+}
+
+/// Lets worker threads add counters to a capture. Take it on a thread in the
+/// capture with [`handle`], move it into the parallel closure, and enter it
+/// for each work unit. It keeps the capture alive for no longer than the
+/// capture's own call: entered afterwards, it is inert.
+#[derive(Clone, Default)]
+pub struct Handle(Weak<Inbox>);
+
+impl Handle {
+    /// Record this thread's counters into the handle's capture until the
+    /// guard drops, then merge them into it. Declare the guard first in a
+    /// work unit so it drops after everything else there (drop order is
+    /// reverse declaration): `let _obs = handle.enter();`
+    ///
+    /// Does nothing on a thread already in the same capture, so a work unit
+    /// the scheduler runs on the owner keeps the owner's live spans.
+    pub fn enter(&self) -> Entered {
+        let same = with_scope(|s| std::ptr::eq(Arc::as_ptr(&s.inbox), self.0.as_ptr()));
+        let inbox = self.0.upgrade().filter(|_| same != Some(true));
+        Entered::new(inbox.map(|inbox| Scope {
+            inbox,
+            stack: Vec::new(),
+            buf: Vec::new(),
+        }))
+    }
+}
+
+/// A thread's membership in a capture, from [`capture`] or
+/// [`Handle::enter`]. On drop (unwinding included) it merges the thread's
+/// buffered counters into the capture and reinstates the scope it shadowed.
+#[must_use = "dropping the guard immediately leaves the capture"]
+pub struct Entered {
+    /// The scope to reinstate; `None` when `enter` had nothing to do.
+    shadowed: Option<Option<Scope>>,
+    /// A scope belongs to one thread's locals.
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Entered {
+    /// Install `scope`, or do nothing when it is `None`.
+    fn new(scope: Option<Scope>) -> Self {
+        Entered {
+            shadowed: scope.map(|scope| swap_scope(Some(scope))),
+            _thread_bound: PhantomData,
+        }
+    }
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        let Some(shadowed) = self.shadowed.take() else {
+            return;
+        };
+        if let Some(left) = swap_scope(shadowed) {
+            lock(&left.inbox).extend(left.buf);
+        }
+    }
+}
+
 /// Open a timed span. The returned guard closes it on drop. Inert (and
-/// branch-cheap) when no capture is active or when called from a thread other
-/// than the one that called [`start`].
+/// branch-cheap) on a thread that is not a capture's owner.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !is_enabled() {
@@ -267,17 +302,17 @@ pub fn span_dyn(name: String) -> SpanGuard {
 }
 
 fn span_open(name: Cow<'static, str>) -> SpanGuard {
-    flush();
-    let mut guard = lock_recorder();
-    let Some(rec) = guard.as_mut() else {
-        return SpanGuard { active: false };
-    };
-    if rec.owner != std::thread::current().id() {
-        return SpanGuard { active: false };
+    let active = with_scope(|s| {
+        if s.stack.is_empty() {
+            return false;
+        }
+        s.fold();
+        s.stack.push(OpenSpan::new(name));
+        true
+    });
+    SpanGuard {
+        active: active == Some(true),
     }
-    drain_pending_into_top(rec);
-    rec.stack.push(OpenSpan::new(name));
-    SpanGuard { active: true }
 }
 
 /// Closes its span on drop. Obtain via [`span`]/[`span_dyn`] or the
@@ -289,25 +324,18 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active || !is_enabled() {
-            // `finish()` may have already closed everything this guard covers.
+        if !self.active {
             return;
         }
-        flush();
-        let mut guard = lock_recorder();
-        let Some(rec) = guard.as_mut() else { return };
-        drain_pending_into_top(rec);
-        // The root span belongs to `finish()`; stack depth 1 means this guard
-        // outlived the capture that opened it.
-        if rec.stack.len() <= 1 {
-            return;
-        }
-        let span = rec.stack.pop().expect("stack depth checked above").close();
-        rec.stack
-            .last_mut()
-            .expect("stack depth checked above")
-            .children
-            .push(span);
+        with_scope(|s| {
+            // The root span belongs to `capture`; stack depth 1 means this
+            // guard outlived the capture that opened it.
+            if s.stack.len() > 1 {
+                s.fold();
+                let span = s.stack.pop().expect("depth > 1").close();
+                s.stack.last_mut().expect("depth > 1").children.push(span);
+            }
+        });
     }
 }
 
@@ -323,9 +351,9 @@ macro_rules! obs_span {
 /// Add to a **deterministic** counter: its value must depend only on inputs,
 /// never on scheduling. Deterministic counters survive
 /// [`Trace::to_stable`] and are pinned byte-identical across thread counts by
-/// the observability tests. Buffered thread-locally; merged when the
-/// innermost open span closes (worker threads must [`flush`] at work-unit
-/// end, most easily via [`flush_guard`]).
+/// the observability tests. Buffered on this thread until the owner next
+/// opens or closes a span, or a worker's [`Entered`] guard drops; it then
+/// lands in the owner's innermost open span.
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
     if !is_enabled() {
@@ -373,81 +401,31 @@ fn intern(name: String) -> &'static str {
 }
 
 fn add_local(name: &'static str, delta: u64, runtime: bool) {
-    let epoch = EPOCH.load(Ordering::SeqCst);
-    LOCAL.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        if buf.epoch != epoch {
-            buf.epoch = epoch;
-            buf.entries.clear();
-        }
-        match buf
-            .entries
+    with_scope(|s| {
+        match s
+            .buf
             .iter_mut()
             .find(|(n, _, r)| *n == name && *r == runtime)
         {
             Some((_, v, _)) => *v += delta,
-            None => buf.entries.push((name, delta, runtime)),
+            None => s.buf.push((name, delta, runtime)),
         }
     });
-}
-
-/// Publish this thread's buffered counters for merging into the current
-/// span. Worker threads call this (or drop a [`flush_guard`]) at the end of
-/// each parallel work unit; span guards flush the owner thread automatically.
-pub fn flush() {
-    if !is_enabled() {
-        return;
-    }
-    let epoch = EPOCH.load(Ordering::SeqCst);
-    LOCAL.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        if buf.epoch != epoch || buf.entries.is_empty() {
-            return;
-        }
-        lock_pending().extend(buf.entries.drain(..));
-    });
-}
-
-/// Calls [`flush`] on drop. Declare first in a parallel closure so it runs
-/// after everything else in the closure (drop order is reverse declaration):
-/// `let _flush = obs::flush_guard();`
-pub fn flush_guard() -> FlushGuard {
-    FlushGuard
-}
-
-pub struct FlushGuard;
-
-impl Drop for FlushGuard {
-    fn drop(&mut self) {
-        flush();
-    }
 }
 
 /// Non-destructive snapshot of the capture so far: still-open spans appear
 /// with their elapsed-so-far durations. Buffered counters are attributed to
-/// the innermost open span (where they would land anyway). `None` if no
-/// capture is active.
+/// the innermost open span (where they would land anyway). `None` on a
+/// thread that is not a capture's owner.
 pub fn snapshot() -> Option<Trace> {
     if !is_enabled() {
         return None;
     }
-    flush();
-    let mut guard = lock_recorder();
-    let rec = guard.as_mut()?;
-    drain_pending_into_top(rec);
-    let mut closed: Option<Span> = None;
-    for open in rec.stack.iter().rev() {
-        let mut span = open.clone_open();
-        if let Some(child) = closed.take() {
-            span.children.push(child);
-        }
-        closed = Some(span);
-    }
-    closed.map(|root| Trace {
-        schema: TRACE_SCHEMA_VERSION,
-        mode: TraceMode::Full,
-        root,
+    with_scope(|s| {
+        s.fold();
+        nest(s.stack.iter().map(OpenSpan::clone_open))
     })
+    .flatten()
 }
 
 /// Fixed-point helper for recording a non-negative float (e.g. a loss) as a
@@ -811,16 +789,19 @@ pub fn profile_table(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn disabled_calls_are_inert() {
         assert!(!is_enabled());
         counter("nope", 1);
         counter_runtime("nope", 1);
-        flush();
         let _g = span("nope");
         drop(_g);
-        assert!(finish().is_none());
+        let _obs = handle().enter();
+        assert!(!is_enabled());
         assert!(snapshot().is_none());
     }
 
@@ -856,10 +837,11 @@ mod tests {
     fn worker_thread_counters_merge_into_enclosing_span() {
         let ((), trace) = capture("root", || {
             let _s = span("par");
+            let obs = handle();
             std::thread::scope(|scope| {
                 for _ in 0..4 {
                     scope.spawn(|| {
-                        let _flush = flush_guard();
+                        let _obs = obs.enter();
                         counter("units", 1);
                     });
                 }
@@ -872,17 +854,134 @@ mod tests {
     #[test]
     fn worker_threads_cannot_open_spans() {
         let ((), trace) = capture("root", || {
+            let obs = handle();
             std::thread::scope(|scope| {
                 scope.spawn(|| {
+                    let _obs = obs.enter();
                     let _s = span("worker-span");
                     counter("c", 1);
-                    flush();
                 });
             });
         });
         assert!(trace.root.find("worker-span").is_none());
         // The counter still lands (on the root).
         assert_eq!(trace.root.counter("c"), Some(1));
+    }
+
+    /// A work unit the scheduler runs on the owner enters the handle there;
+    /// the owner's spans must stay live, or the tree would depend on the
+    /// thread count.
+    #[test]
+    fn entering_on_the_owner_keeps_its_spans_live() {
+        let ((), trace) = capture("root", || {
+            let _obs = handle().enter();
+            let _s = span("unit");
+            counter("c", 1);
+        });
+        assert_eq!(trace.root.find("unit").unwrap().counter("c"), Some(1));
+    }
+
+    fn solo_trace() -> Trace {
+        capture("root", || {
+            let _s = span("stage");
+            counter("own", 1);
+        })
+        .1
+        .to_stable()
+    }
+
+    /// A thread outside the capture counts and opens a span while the
+    /// capture runs; nothing of it may reach the trace.
+    #[test]
+    fn uncaptured_threads_do_not_reach_a_capture() {
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let stranger = thread::spawn(move || {
+            go_rx.recv().unwrap();
+            counter("leak", 1);
+            drop(span("stranger"));
+            done_tx.send(()).unwrap();
+        });
+        let ((), trace) = capture("root", || {
+            go_tx.send(()).unwrap();
+            done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            let _s = span("stage");
+            counter("own", 1);
+        });
+        stranger.join().unwrap();
+        assert_eq!(trace.to_stable(), solo_trace());
+    }
+
+    /// Two captures on two threads overlap: each waits inside its closure
+    /// for the other to have started, and each trace holds only its own
+    /// counters.
+    #[test]
+    fn captures_on_different_threads_are_independent() {
+        let (a_tx, a_rx) = mpsc::channel::<()>();
+        let (b_tx, b_rx) = mpsc::channel::<()>();
+        let run = |name: &'static str, tx: mpsc::Sender<()>, rx: mpsc::Receiver<()>| {
+            thread::spawn(move || {
+                capture("root", || {
+                    counter(name, 1);
+                    tx.send(()).unwrap();
+                    rx.recv_timeout(Duration::from_secs(5))
+                        .expect("the other capture runs at the same time");
+                    let _s = span("stage");
+                    counter(name, 1);
+                })
+                .1
+            })
+        };
+        let a = run("a", a_tx, b_rx);
+        let b = run("b", b_tx, a_rx);
+        for (name, other, trace) in [("a", "b", a.join()), ("b", "a", b.join())] {
+            let trace = trace.expect("capture thread");
+            assert_eq!(trace.root.counter(name), Some(1));
+            assert_eq!(trace.root.find("stage").unwrap().counter(name), Some(1));
+            assert_eq!(trace.root.counter(other), None);
+            assert_eq!(trace.root.find("stage").unwrap().counter(other), None);
+        }
+    }
+
+    #[test]
+    fn handle_entered_after_its_capture_is_inert() {
+        let (obs, _) = capture("root", handle);
+        let _obs = obs.enter();
+        assert!(!is_enabled());
+        counter("late", 1);
+        drop(span("late"));
+        assert!(snapshot().is_none());
+    }
+
+    /// A nested capture shadows the outer one and restores it on return and
+    /// on panic. Run off the test thread so a capture that cannot nest fails
+    /// the test by timeout instead of hanging it.
+    #[test]
+    fn nested_capture_leaves_the_outer_counters_intact() {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let (inner, outer) = capture("outer", || {
+                counter("before", 1);
+                let (_, inner) = capture("inner", || counter("nested", 1));
+                let panicked = std::panic::catch_unwind(|| {
+                    capture("doomed", || {
+                        counter("doomed", 1);
+                        panic!("inside a nested capture")
+                    })
+                });
+                assert!(panicked.is_err());
+                counter("after", 1);
+                inner
+            });
+            tx.send((inner, outer)).unwrap();
+        });
+        let (inner, outer) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(outer.root.counter("before"), Some(1));
+        assert_eq!(outer.root.counter("after"), Some(1));
+        assert_eq!(outer.root.counter("nested"), None);
+        assert_eq!(outer.root.counter("doomed"), None);
+        assert_eq!(inner.root.counter("nested"), Some(1));
+        assert_eq!(inner.root.counter("before"), None);
     }
 
     #[test]

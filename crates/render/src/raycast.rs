@@ -132,10 +132,11 @@ impl Renderer {
         let overlay_corr = overlay_tf.map(|otf| corrected_table(otf, p.opacity_scale, p.step));
 
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
+        let obs = ifet_obs::handle();
         rows.into_par_iter().for_each(|(py, row)| {
             // Workers may not open spans; per-scanline work is reported as
-            // deterministic counters flushed when each row finishes.
-            let _flush = ifet_obs::flush_guard();
+            // deterministic counters merged when each row finishes.
+            let _obs = obs.enter();
             for px in 0..w {
                 let (origin, dir) = camera.ray(px, py, w, h);
                 let rgb = self.trace(
@@ -303,8 +304,9 @@ impl Renderer {
         let light = camera.view_dir();
 
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
+        let obs = ifet_obs::handle();
         rows.into_par_iter().for_each(|(py, row)| {
-            let _flush = ifet_obs::flush_guard();
+            let _obs = obs.enter();
             ifet_obs::counter("scanlines", 1);
             ifet_obs::counter("pixels", w as u64);
             let packet = p.packet_size();
@@ -395,8 +397,9 @@ impl Renderer {
         let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
 
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
+        let obs = ifet_obs::handle();
         rows.into_par_iter().for_each(|(py, row)| {
-            let _flush = ifet_obs::flush_guard();
+            let _obs = obs.enter();
             ifet_obs::counter("scanlines", 1);
             ifet_obs::counter("pixels", w as u64);
             let packet = p.packet_size();

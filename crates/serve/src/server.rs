@@ -235,10 +235,12 @@ pub fn serve_unix(path: &Path, engine: &ServeEngine, opts: ServerOpts) -> std::i
         .map(|k| {
             let pool = Arc::clone(&pool);
             let engine = engine.clone();
+            let obs = ifet_obs::handle();
             std::thread::Builder::new()
                 .name(format!("ifet-serve-worker-{k}"))
                 .spawn(move || {
                     while let Some((tx, req)) = pool.next_job() {
+                        let _obs = obs.enter();
                         // Replies go out in completion order; the writer
                         // balances the reader's admit. A send to a closed
                         // channel means the connection is already torn down.

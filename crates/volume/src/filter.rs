@@ -27,24 +27,26 @@ fn convolve_axis(vol: &ScalarVolume, kernel: &[f32], axis: usize) -> ScalarVolum
     let radius = (kernel.len() / 2) as i64;
     let src = vol.as_slice();
 
-    let out: Vec<f32> = (0..d.len())
-        .into_par_iter()
-        .map(|idx| {
-            let (x, y, z) = d.coords(idx);
-            let mut acc = 0.0f32;
-            for (ki, &w) in kernel.iter().enumerate() {
-                let off = ki as i64 - radius;
-                let (sx, sy, sz) = match axis {
-                    0 => (x as i64 + off, y as i64, z as i64),
-                    1 => (x as i64, y as i64 + off, z as i64),
-                    _ => (x as i64, y as i64, z as i64 + off),
-                };
-                let (cx, cy, cz) = d.clamp_i(sx, sy, sz);
-                acc += w * src[d.index(cx, cy, cz)];
+    let mut out = vec![0.0f32; d.len()];
+    out.par_chunks_mut(d.nx * d.ny)
+        .enumerate()
+        .for_each(|(z, slab)| {
+            for (i, o) in slab.iter_mut().enumerate() {
+                let (x, y) = (i % d.nx, i / d.nx);
+                let mut acc = 0.0f32;
+                for (ki, &w) in kernel.iter().enumerate() {
+                    let off = ki as i64 - radius;
+                    let (sx, sy, sz) = match axis {
+                        0 => (x as i64 + off, y as i64, z as i64),
+                        1 => (x as i64, y as i64 + off, z as i64),
+                        _ => (x as i64, y as i64, z as i64 + off),
+                    };
+                    let (cx, cy, cz) = d.clamp_i(sx, sy, sz);
+                    acc += w * src[d.index(cx, cy, cz)];
+                }
+                *o = acc;
             }
-            acc
-        })
-        .collect();
+        });
 
     ScalarVolume::from_vec(d, out)
 }
@@ -134,6 +136,52 @@ mod tests {
         let once = gaussian_blur(&v, 1.0);
         let thrice = repeated_blur(&v, 1.0, 3);
         assert!(*thrice.get(5, 5, 5) < *once.get(5, 5, 5));
+    }
+
+    /// Reference for `convolve_axis`: every voxel index in turn, on one thread.
+    fn convolve_axis_per_voxel(vol: &ScalarVolume, kernel: &[f32], axis: usize) -> ScalarVolume {
+        let d = vol.dims();
+        let radius = (kernel.len() / 2) as i64;
+        let src = vol.as_slice();
+        let out = (0..d.len())
+            .map(|idx| {
+                let (x, y, z) = d.coords(idx);
+                let mut acc = 0.0f32;
+                for (ki, &w) in kernel.iter().enumerate() {
+                    let off = ki as i64 - radius;
+                    let (sx, sy, sz) = match axis {
+                        0 => (x as i64 + off, y as i64, z as i64),
+                        1 => (x as i64, y as i64 + off, z as i64),
+                        _ => (x as i64, y as i64, z as i64 + off),
+                    };
+                    let (cx, cy, cz) = d.clamp_i(sx, sy, sz);
+                    acc += w * src[d.index(cx, cy, cz)];
+                }
+                acc
+            })
+            .collect();
+        ScalarVolume::from_vec(d, out)
+    }
+
+    #[test]
+    fn slab_blur_is_bit_identical_to_the_per_voxel_loop() {
+        let d = Dims3::new(7, 5, 6);
+        let values: Vec<f32> = (0..d.len())
+            .map(|i| ((i * 7919) % 101) as f32 * 0.37 - 11.0)
+            .collect();
+        let vol = ScalarVolume::from_vec(d, values);
+        let k = gaussian_kernel(1.3);
+        let want = (0..3).fold(vol.clone(), |v, axis| convolve_axis_per_voxel(&v, &k, axis));
+        for threads in [1, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let got = pool.install(|| gaussian_blur(&vol, 1.3));
+            let bits =
+                |v: &ScalarVolume| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "threads {threads}");
+        }
     }
 
     #[test]

@@ -828,7 +828,8 @@ impl Drop for Inner {
 }
 
 enum PrefetchMsg {
-    Batch(Vec<usize>),
+    /// Frame indices to read ahead, and the capture of the thread that asked.
+    Batch(Vec<usize>, ifet_obs::Handle),
     Stop,
 }
 
@@ -1106,10 +1107,8 @@ impl OutOfCoreSeries {
         let handle = std::thread::Builder::new()
             .name("ifet-ooc-prefetch".into())
             .spawn(move || {
-                while let Ok(PrefetchMsg::Batch(idxs)) = rx.recv() {
-                    // Merge this thread's counter buffer after each batch so
-                    // runtime counters from the worker become visible.
-                    let _flush = ifet_obs::flush_guard();
+                while let Ok(PrefetchMsg::Batch(idxs, obs)) = rx.recv() {
+                    let _obs = obs.enter();
                     for i in idxs {
                         inner.prefetch_frame(i);
                     }
@@ -1133,7 +1132,7 @@ impl OutOfCoreSeries {
             .filter(|&i| i < self.inner.paths.len())
             .collect();
         if !batch.is_empty() {
-            let _ = w.tx.send(PrefetchMsg::Batch(batch));
+            let _ = w.tx.send(PrefetchMsg::Batch(batch, ifet_obs::handle()));
         }
     }
 

@@ -315,28 +315,11 @@ where
     T: Send,
     F: Fn(usize, u32, &ScalarVolume) -> T + Sync,
 {
-    let n = series.len();
-    let window = series.residency_bound().unwrap_or(n).max(1);
-    let steps = series.steps().to_vec();
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    let mut start = 0;
-    while start < n {
-        let end = (start + window).min(n);
-        let handles = (start..end)
-            .map(|i| series.frame(i))
-            .collect::<Result<Vec<_>, _>>()?;
-        if end < n {
-            let upcoming: Vec<usize> = (end..(end + window).min(n)).collect();
-            series.prefetch_hint(&upcoming);
-        }
-        let results: Vec<T> = handles
-            .par_iter()
-            .enumerate()
-            .map(|(k, h)| f(start + k, steps[start + k], h))
-            .collect();
+    let mut out: Vec<T> = Vec::with_capacity(series.len());
+    for_each_window(series, f, |_, results| {
         out.extend(results);
-        start = end;
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -352,9 +335,30 @@ where
     K: crate::sink::FrameSink + ?Sized,
     F: Fn(usize, u32, &ScalarVolume) -> ScalarVolume + Sync,
 {
+    for_each_window(series, f, |start, results| {
+        for (k, vol) in results.into_iter().enumerate() {
+            sink.put(series.steps()[start + k], vol)?;
+        }
+        Ok(())
+    })
+}
+
+/// The walk behind both windowed maps: `emit` gets each window's first
+/// index and its results, in index order.
+fn for_each_window<S, T, F>(
+    series: &S,
+    f: F,
+    mut emit: impl FnMut(usize, Vec<T>) -> Result<(), SeriesError>,
+) -> Result<(), SeriesError>
+where
+    S: FrameSource + ?Sized,
+    T: Send,
+    F: Fn(usize, u32, &ScalarVolume) -> T + Sync,
+{
     let n = series.len();
     let window = series.residency_bound().unwrap_or(n).max(1);
-    let steps = series.steps().to_vec();
+    let steps = series.steps();
+    let obs = ifet_obs::handle();
     let mut start = 0;
     while start < n {
         let end = (start + window).min(n);
@@ -365,14 +369,15 @@ where
             let upcoming: Vec<usize> = (end..(end + window).min(n)).collect();
             series.prefetch_hint(&upcoming);
         }
-        let results: Vec<ScalarVolume> = handles
+        let results: Vec<T> = handles
             .par_iter()
             .enumerate()
-            .map(|(k, h)| f(start + k, steps[start + k], h))
+            .map(|(k, h)| {
+                let _obs = obs.enter();
+                f(start + k, steps[start + k], h)
+            })
             .collect();
-        for (k, vol) in results.into_iter().enumerate() {
-            sink.put(steps[start + k], vol)?;
-        }
+        emit(start, results)?;
         start = end;
     }
     Ok(())

@@ -269,12 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn into_par_iter_range() {
-        let out: Vec<usize> = (0..100usize).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(out, (1..=100).collect::<Vec<usize>>());
-    }
-
-    #[test]
     fn chunks_mut_enumerate_for_each() {
         let mut data = vec![0u32; 64];
         data.par_chunks_mut(16).enumerate().for_each(|(i, chunk)| {
@@ -315,6 +309,7 @@ mod tests {
         let done = AtomicUsize::new(0);
         let out: Vec<usize> = pool(THREADS).install(|| {
             (0..N)
+                .collect::<Vec<_>>()
                 .into_par_iter()
                 .map(|i| {
                     if i == 0 {
@@ -342,6 +337,7 @@ mod tests {
                 let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
                 let out: Vec<(usize, u64)> = pool(threads).install(|| {
                     (0..n)
+                        .collect::<Vec<_>>()
                         .into_par_iter()
                         .map(|i| {
                             runs[i].fetch_add(1, Ordering::SeqCst);
@@ -378,6 +374,7 @@ mod tests {
         let ran_on = |threads: usize, n: usize| -> Vec<ThreadId> {
             pool(threads).install(|| {
                 (0..n)
+                    .collect::<Vec<_>>()
                     .into_par_iter()
                     .map(|_| thread::current().id())
                     .collect()

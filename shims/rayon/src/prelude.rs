@@ -1,7 +1,6 @@
 //! Producer traits, mirroring `rayon::prelude`.
 
 use crate::{par_from, Par};
-use std::ops::Range;
 
 /// `.par_iter()` on shared slices (and through deref, `Vec`).
 pub trait IntoParallelRefIterator<'a> {
@@ -16,7 +15,7 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
-/// `.into_par_iter()` on owning / range producers.
+/// `.into_par_iter()` on owning producers.
 pub trait IntoParallelIterator {
     type Item: Send;
     fn into_par_iter(self) -> Par<Self::Item, impl Fn(Self::Item) -> Self::Item + Sync>;
@@ -26,13 +25,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
     fn into_par_iter(self) -> Par<T, impl Fn(T) -> T + Sync> {
         par_from(self)
-    }
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-    fn into_par_iter(self) -> Par<usize, impl Fn(usize) -> usize + Sync> {
-        par_from(self.collect())
     }
 }
 

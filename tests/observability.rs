@@ -5,7 +5,7 @@
 //! verbatim round-trip, corruption detected at load).
 //!
 //! Every test that executes instrumented pipeline code does so inside
-//! `obs::capture`, which serializes captures process-wide — so concurrently
+//! `obs::capture`, which sees only its own call tree — so concurrently
 //! running tests cannot leak counters into each other's span trees.
 
 use ifet_core::obs;

@@ -6,7 +6,7 @@
 //! concurrently." On a single machine the same independence lets frames fan
 //! out across a thread pool; the scaling bench measures exactly this.
 
-use ifet_volume::{map_frames_windowed, FrameSource, ScalarVolume, SeriesError};
+use ifet_volume::{map_frames_windowed, FrameSource, ScalarVolume};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -31,26 +31,16 @@ pub fn pool_with_threads(threads: usize) -> Arc<rayon::ThreadPool> {
 }
 
 /// Apply `f` to every `(step, frame)` of a series in parallel, preserving
-/// order in the output. Panics if a paged source fails to load a frame; use
-/// [`try_map_frames`] to handle that case.
+/// order in the output. Frames fan out in residency-bounded windows (one full
+/// parallel pass for in-core sources). Panics if a paged source fails to load
+/// a frame; call [`map_frames_windowed`] to handle that case.
 pub fn map_frames<S, T, F>(series: &S, f: F) -> Vec<T>
 where
     S: FrameSource + ?Sized,
     T: Send,
     F: Fn(u32, &ScalarVolume) -> T + Sync,
 {
-    try_map_frames(series, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`map_frames`]: fan out over frames in residency-bounded windows
-/// (one full parallel pass for in-core sources), surfacing paging failures.
-pub fn try_map_frames<S, T, F>(series: &S, f: F) -> Result<Vec<T>, SeriesError>
-where
-    S: FrameSource + ?Sized,
-    T: Send,
-    F: Fn(u32, &ScalarVolume) -> T + Sync,
-{
-    map_frames_windowed(series, |_i, t, frame| f(t, frame))
+    map_frames_windowed(series, |_i, t, frame| f(t, frame)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Apply `f` with an explicit thread count (for scaling studies), using the
@@ -67,27 +57,23 @@ where
     pool_with_threads(threads).install(|| map_frames(series, f))
 }
 
-/// Sequential reference (the 1-worker baseline for speedup computation).
-pub fn map_frames_sequential<S, T, F>(series: &S, f: F) -> Vec<T>
-where
-    S: FrameSource + ?Sized,
-    F: Fn(u32, &ScalarVolume) -> T,
-{
-    let steps = series.steps().to_vec();
-    steps
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            let frame = series.frame(i).unwrap_or_else(|e| panic!("{e}"));
-            f(t, &frame)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ifet_volume::{Dims3, TimeSeries};
+
+    /// Sequential oracle for the parallel fan-out.
+    fn map_frames_sequential<T>(
+        series: &TimeSeries,
+        f: impl Fn(u32, &ScalarVolume) -> T,
+    ) -> Vec<T> {
+        series
+            .steps()
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| f(t, series.frame(i)))
+            .collect()
+    }
 
     fn series(n_frames: usize) -> TimeSeries {
         let d = Dims3::cube(8);

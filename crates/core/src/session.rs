@@ -15,7 +15,7 @@ use ifet_track::{
     grow_4d, track_events, AdaptiveTfCriterion, CriterionError, FixedBandCriterion, GrowCheckpoint,
     GrowError, Grower, GrowthCriterion, MaskCriterion, Seed4, TrackReport,
 };
-use ifet_volume::{map_frames_windowed, FrameSource, Mask3, TimeSeries};
+use ifet_volume::{map_frames_windowed, FrameHandle, FrameSource, Mask3, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -323,11 +323,7 @@ impl<S: FrameSource> VisSession<S> {
     /// Extraction mask at step `t` using a transfer function: voxels whose
     /// opacity reaches `tau`.
     pub fn extract_with_tf(&self, t: u32, tf: &TransferFunction1D, tau: f32) -> Mask3 {
-        let frame = self
-            .series
-            .frame_at_step(t)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or_else(|| panic!("step {t} not in series"));
+        let frame = self.expect_frame(t);
         let d = frame.dims();
         let mut m = Mask3::empty(d);
         for (i, &v) in frame.as_slice().iter().enumerate() {
@@ -610,13 +606,18 @@ impl<S: FrameSource> VisSession<S> {
         Camera::framing(self.series.dims(), 0.7, 0.35)
     }
 
-    /// Render frame `t` with an explicit transfer function.
-    pub fn render_with_tf(&self, t: u32, tf: &TransferFunction1D, w: usize, h: usize) -> Image {
-        let frame = self
-            .series
+    /// The frame at step `t`, for the wrappers that panic on a missing step
+    /// or a paging failure instead of returning an error.
+    fn expect_frame(&self, t: u32) -> FrameHandle<'_> {
+        self.series
             .frame_at_step(t)
             .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or_else(|| panic!("step {t} not in series"));
+            .unwrap_or_else(|| panic!("step {t} not in series"))
+    }
+
+    /// Render frame `t` with an explicit transfer function.
+    pub fn render_with_tf(&self, t: u32, tf: &TransferFunction1D, w: usize, h: usize) -> Image {
+        let frame = self.expect_frame(t);
         self.renderer
             .render(&frame, tf, self.colormap, &self.camera(), w, h)
     }
@@ -631,11 +632,7 @@ impl<S: FrameSource> VisSession<S> {
 
     /// Maximum-intensity projection of frame `t` (quick overview mode).
     pub fn render_mip(&self, t: u32, w: usize, h: usize) -> Image {
-        let frame = self
-            .series
-            .frame_at_step(t)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or_else(|| panic!("step {t} not in series"));
+        let frame = self.expect_frame(t);
         self.renderer
             .render_mip(&frame, self.colormap, &self.camera(), w, h)
     }
@@ -670,11 +667,7 @@ impl<S: FrameSource> VisSession<S> {
         w: usize,
         h: usize,
     ) -> Image {
-        let frame = self
-            .series
-            .frame_at_step(t)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or_else(|| panic!("step {t} not in series"));
+        let frame = self.expect_frame(t);
         render_tracking_overlay(
             &self.renderer,
             &frame,

@@ -800,14 +800,13 @@ impl DataSpaceClassifier {
     }
 
     /// The per-frame body shared by every whole-series classification entry
-    /// point: one certainty volume for the frame at step `t`, with the
-    /// deterministic `frames` / `voxels_classified` counters. Identical
+    /// point: one certainty volume for a frame at normalized time `tn`, with
+    /// the deterministic `frames` / `voxels_classified` counters. Identical
     /// regardless of which entry point drives it, so streamed and
     /// materialized outputs are byte-identical.
-    fn classify_one_frame(&self, t: u32, frame: &ScalarVolume, tn: f32) -> ScalarVolume {
+    fn classify_one_frame(&self, frame: &ScalarVolume, tn: f32) -> ScalarVolume {
         // Within a frame we stay sequential: frame-level parallelism
         // already saturates the pool for multi-frame series.
-        let _ = t;
         let d = frame.dims();
         let b = self.batch_rows();
         let mut predictor = self.predictor();
@@ -844,7 +843,7 @@ impl DataSpaceClassifier {
         let _span = obs::span("extract.classify_series");
         map_frames_windowed(series, |i, t, frame| {
             let tn = series.normalized_time(t);
-            post(i, t, self.classify_one_frame(t, frame, tn))
+            post(i, t, self.classify_one_frame(frame, tn))
         })
     }
 
@@ -860,8 +859,7 @@ impl DataSpaceClassifier {
     {
         let _span = obs::span("extract.classify_series");
         map_frames_windowed_into(series, sink, |_i, t, frame| {
-            let tn = series.normalized_time(t);
-            self.classify_one_frame(t, frame, tn)
+            self.classify_one_frame(frame, series.normalized_time(t))
         })
     }
 }

@@ -86,6 +86,12 @@ fn corrected_table(tf: &TransferFunction1D, opacity_scale: f32, step: f32) -> Ve
 }
 
 /// A software direct volume renderer.
+///
+/// Every mode runs on one walker: `cast` fans scanlines out and clips each
+/// pixel's ray to the volume, `Ray::march` visits its sample positions a
+/// packet at a time, and `composite` shades and blends them front to back.
+/// A mode supplies only its packet opacities and sample color, or (MIP) a
+/// running max in place of the blend.
 #[derive(Debug, Clone, Default)]
 pub struct Renderer {
     pub params: RenderParams,
@@ -107,11 +113,13 @@ impl Renderer {
         w: usize,
         h: usize,
     ) -> Image {
-        self.render_impl(vol, tf, cmap, camera, w, h, None, None)
+        self.render_tf(vol, tf, cmap, camera, w, h, None)
     }
 
+    /// DVR through the step-corrected table of `tf`, with the tracked-feature
+    /// overlay when `overlay` holds the region-grow mask and adaptive TF.
     #[allow(clippy::too_many_arguments)]
-    fn render_impl(
+    fn render_tf(
         &self,
         vol: &ScalarVolume,
         tf: &TransferFunction1D,
@@ -119,163 +127,48 @@ impl Renderer {
         camera: &Camera,
         w: usize,
         h: usize,
-        overlay: Option<&Mask3>,
-        overlay_tf: Option<&TransferFunction1D>,
+        overlay: Option<(&Mask3, &TransferFunction1D)>,
     ) -> Image {
         let _span = ifet_obs::span("render.raycast");
-        let mut img = Image::new(w, h);
-        let p = self.params;
-        let d = vol.dims();
-        let (tlo, thi) = tf.domain();
-        let light = camera.view_dir(); // headlight
-        let corr = corrected_table(tf, p.opacity_scale, p.step);
-        let overlay_corr = overlay_tf.map(|otf| corrected_table(otf, p.opacity_scale, p.step));
-
-        let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
-        let obs = ifet_obs::handle();
-        rows.into_par_iter().for_each(|(py, row)| {
-            // Workers may not open spans; per-scanline work is reported as
-            // deterministic counters merged when each row finishes.
-            let _obs = obs.enter();
-            for px in 0..w {
-                let (origin, dir) = camera.ray(px, py, w, h);
-                let rgb = self.trace(
-                    vol,
-                    tf,
-                    cmap,
-                    origin,
-                    dir,
-                    light,
-                    tlo,
-                    thi,
-                    &corr,
-                    overlay,
-                    overlay_tf,
-                    overlay_corr.as_deref(),
-                );
-                row[3 * px] = rgb[0].clamp(0.0, 1.0);
-                row[3 * px + 1] = rgb[1].clamp(0.0, 1.0);
-                row[3 * px + 2] = rgb[2].clamp(0.0, 1.0);
-            }
-            ifet_obs::counter("scanlines", 1);
-            ifet_obs::counter("pixels", w as u64);
-        });
-
-        let _ = (d, p);
-        img
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn trace(
-        &self,
-        vol: &ScalarVolume,
-        tf: &TransferFunction1D,
-        cmap: ColorMap,
-        origin: [f32; 3],
-        dir: [f32; 3],
-        light: [f32; 3],
-        tlo: f32,
-        thi: f32,
-        corr: &[f32],
-        overlay: Option<&Mask3>,
-        overlay_tf: Option<&TransferFunction1D>,
-        overlay_corr: Option<&[f32]>,
-    ) -> [f32; 3] {
         let p = &self.params;
-        let d = vol.dims();
-        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
-        let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) else {
-            return p.background;
+        let (tlo, thi) = tf.domain();
+        let corr = corrected_table(tf, p.opacity_scale, p.step);
+        let overlay =
+            overlay.map(|(mask, otf)| (mask, otf, corrected_table(otf, p.opacity_scale, p.step)));
+        // Tracked-feature overlay: voxels inside the region-grow mask render
+        // red with the adaptive TF's opacity (Section 7).
+        let tracked = |q: [f32; 3]| {
+            let (mask, otf, ocorr) = overlay.as_ref()?;
+            let (x, y, z) = mask.dims().clamp_i(
+                q[0].round() as i64,
+                q[1].round() as i64,
+                q[2].round() as i64,
+            );
+            mask.get(x, y, z).then_some((otf, ocorr))
         };
-
-        let mut color = [0.0f32; 3];
-        let mut alpha = 0.0f32;
-        // Index-based sample positions (t0 + k·step, never an accumulated
-        // `t += step`), so the sample set is independent of packet width.
-        let t0 = t_enter.max(0.0);
-        if t0 > t_exit {
-            return p.background;
-        }
-        let n_steps = ((t_exit - t0) / p.step) as usize + 1;
-        let packet = p.packet_size();
-        let mut pos = [[0.0f32; 3]; MAX_PACKET];
-        let mut vals = [0.0f32; MAX_PACKET];
-        let mut alphas = [0.0f32; MAX_PACKET];
-
-        let mut k = 0;
-        'ray: while k < n_steps {
-            let m = packet.min(n_steps - k);
-            // Batched phases: position math, trilinear fetch, TF lookup.
-            for (j, q) in pos[..m].iter_mut().enumerate() {
-                let t = t0 + (k + j) as f32 * p.step;
-                *q = [
-                    origin[0] + dir[0] * t,
-                    origin[1] + dir[1] * t,
-                    origin[2] + dir[2] * t,
-                ];
-            }
-            for j in 0..m {
-                vals[j] = trilinear(vol, pos[j][0], pos[j][1], pos[j][2]);
-            }
-            for j in 0..m {
-                alphas[j] = corr[tf.entry_of(vals[j])];
-            }
-            // Serial compositing (order-dependent), early-exiting the ray.
-            for j in 0..m {
-                let [x, y, z] = pos[j];
-                let v = vals[j];
-                let mut a = alphas[j];
-                let mut sample_color = cmap.sample_in(v, tlo, thi);
-                // Tracked-feature overlay: voxels inside the region-grow
-                // mask render red with the adaptive TF's opacity (Section 7).
-                if let (Some(mask), Some(otf), Some(ocorr)) = (overlay, overlay_tf, overlay_corr) {
-                    let (cx, cy, cz) =
-                        d.clamp_i(x.round() as i64, y.round() as i64, z.round() as i64);
-                    if mask.get(cx, cy, cz) {
-                        sample_color = [1.0, 0.1, 0.1];
-                        a = ocorr[otf.entry_of(v)];
-                    }
+        self.composite(
+            vol,
+            camera,
+            w,
+            h,
+            |pos, vals, alphas| {
+                for (v, q) in vals.iter_mut().zip(pos) {
+                    *v = trilinear(vol, q[0], q[1], q[2]);
                 }
-                if a > 1e-4 {
-                    if p.shading {
-                        let g = normalize3(gradient_trilinear(vol, x, y, z));
-                        let ndotl = (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
-                        let shade = p.ambient + (1.0 - p.ambient) * ndotl;
-                        for c in &mut sample_color {
-                            *c *= shade;
-                        }
-                        // Headlight specular: the half-vector coincides with
-                        // the light/view direction, so the highlight is
-                        // |n·l|^s.
-                        if p.specular > 0.0 {
-                            let spec = p.specular * ndotl.powf(p.shininess);
-                            for c in &mut sample_color {
-                                *c += spec;
-                            }
-                        }
-                    }
-                    let w = a * (1.0 - alpha);
-                    for ch in 0..3 {
-                        color[ch] += w * sample_color[ch];
-                    }
-                    alpha += w;
-                    if alpha >= p.early_termination {
-                        break 'ray;
-                    }
+                for ((a, &v), &q) in alphas.iter_mut().zip(&*vals).zip(pos) {
+                    *a = match tracked(q) {
+                        Some((otf, ocorr)) => ocorr[otf.entry_of(v)],
+                        None => corr[tf.entry_of(v)],
+                    };
                 }
-            }
-            k += m;
-        }
-
-        [
-            color[0] + (1.0 - alpha) * p.background[0],
-            color[1] + (1.0 - alpha) * p.background[1],
-            color[2] + (1.0 - alpha) * p.background[2],
-        ]
+            },
+            |q, v| match tracked(q) {
+                Some(_) => [1.0, 0.1, 0.1],
+                None => cmap.sample_in(v, tlo, thi),
+            },
+        )
     }
-}
 
-impl Renderer {
     /// Render a data-space classification result: "the classified result is
     /// stored as a 3D texture and used to assign opacity to each voxel"
     /// (Section 7). Opacity comes from the certainty field, color from the
@@ -296,85 +189,24 @@ impl Renderer {
             "certainty field dims mismatch"
         );
         let _span = ifet_obs::span("render.classified");
-        let mut img = Image::new(w, h);
-        let p = self.params;
-        let d = vol.dims();
+        let p = &self.params;
         let (vlo, vhi) = vol.value_range();
-        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
-        let light = camera.view_dir();
-
-        let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
-        let obs = ifet_obs::handle();
-        rows.into_par_iter().for_each(|(py, row)| {
-            let _obs = obs.enter();
-            ifet_obs::counter("scanlines", 1);
-            ifet_obs::counter("pixels", w as u64);
-            let packet = p.packet_size();
-            let mut pos = [[0.0f32; 3]; MAX_PACKET];
-            let mut alphas = [0.0f32; MAX_PACKET];
-            for px in 0..w {
-                let (origin, dir) = camera.ray(px, py, w, h);
-                let mut color = [0.0f32; 3];
-                let mut alpha = 0.0f32;
-                if let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) {
-                    let t0 = t_enter.max(0.0);
-                    let n_steps = if t0 > t_exit {
-                        0
-                    } else {
-                        ((t_exit - t0) / p.step) as usize + 1
-                    };
-                    let mut k = 0;
-                    'ray: while k < n_steps {
-                        let m = packet.min(n_steps - k);
-                        for (j, q) in pos[..m].iter_mut().enumerate() {
-                            let t = t0 + (k + j) as f32 * p.step;
-                            *q = [
-                                origin[0] + dir[0] * t,
-                                origin[1] + dir[1] * t,
-                                origin[2] + dir[2] * t,
-                            ];
-                        }
-                        // Certainty is trilinearly interpolated (continuous),
-                        // so the step correction is per-sample `powf` here —
-                        // batched alongside the fetch.
-                        for j in 0..m {
-                            let cert = trilinear(certainty, pos[j][0], pos[j][1], pos[j][2]);
-                            alphas[j] = corrected_opacity(cert * p.opacity_scale, p.step);
-                        }
-                        for j in 0..m {
-                            let [x, y, z] = pos[j];
-                            let a = alphas[j];
-                            if a > 1e-4 {
-                                let v = trilinear(vol, x, y, z);
-                                let mut c = cmap.sample_in(v, vlo, vhi);
-                                if p.shading {
-                                    let g = normalize3(gradient_trilinear(vol, x, y, z));
-                                    let ndotl =
-                                        (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
-                                    let shade = p.ambient + (1.0 - p.ambient) * ndotl;
-                                    for ch in &mut c {
-                                        *ch *= shade;
-                                    }
-                                }
-                                let wgt = a * (1.0 - alpha);
-                                for ch in 0..3 {
-                                    color[ch] += wgt * c[ch];
-                                }
-                                alpha += wgt;
-                                if alpha >= p.early_termination {
-                                    break 'ray;
-                                }
-                            }
-                        }
-                        k += m;
-                    }
+        self.composite(
+            vol,
+            camera,
+            w,
+            h,
+            // Certainty is trilinearly interpolated (continuous), so the step
+            // correction is per-sample `powf` here — batched alongside the
+            // fetch. The data value is fetched only for visible samples.
+            |pos, _, alphas| {
+                for (a, q) in alphas.iter_mut().zip(pos) {
+                    let cert = trilinear(certainty, q[0], q[1], q[2]);
+                    *a = corrected_opacity(cert * p.opacity_scale, p.step);
                 }
-                row[3 * px] = (color[0] + (1.0 - alpha) * p.background[0]).clamp(0.0, 1.0);
-                row[3 * px + 1] = (color[1] + (1.0 - alpha) * p.background[1]).clamp(0.0, 1.0);
-                row[3 * px + 2] = (color[2] + (1.0 - alpha) * p.background[2]).clamp(0.0, 1.0);
-            }
-        });
-        img
+            },
+            |q, _| cmap.sample_in(trilinear(vol, q[0], q[1], q[2]), vlo, vhi),
+        )
     }
 
     /// Maximum-intensity projection: each pixel shows the color-mapped
@@ -390,61 +222,167 @@ impl Renderer {
         h: usize,
     ) -> Image {
         let _span = ifet_obs::span("render.mip");
-        let mut img = Image::new(w, h);
-        let p = self.params;
-        let d = vol.dims();
         let (vlo, vhi) = vol.value_range();
-        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
+        self.cast(vol, camera, w, h, |ray| {
+            let mut best = f32::NEG_INFINITY;
+            ray.march(|pos| {
+                for q in pos {
+                    best = best.max(trilinear(vol, q[0], q[1], q[2]));
+                }
+                true
+            });
+            if best.is_finite() {
+                cmap.sample_in(best, vlo, vhi)
+            } else {
+                self.params.background
+            }
+        })
+    }
 
+    /// Front-to-back compositing with headlight shading and early ray
+    /// termination. Per packet, `opacities(pos, vals, alphas)` fills each
+    /// sample's opacity (and any value `color` wants back in `vals`); then
+    /// the visible samples are colored by `color(pos, val)`, shaded and
+    /// blended serially in sample order.
+    fn composite(
+        &self,
+        vol: &ScalarVolume,
+        camera: &Camera,
+        w: usize,
+        h: usize,
+        opacities: impl Fn(&[[f32; 3]], &mut [f32], &mut [f32]) + Sync,
+        color: impl Fn([f32; 3], f32) -> [f32; 3] + Sync,
+    ) -> Image {
+        let p = &self.params;
+        let light = camera.view_dir(); // headlight
+        self.cast(vol, camera, w, h, |ray| {
+            let mut vals = [0.0f32; MAX_PACKET];
+            let mut alphas = [0.0f32; MAX_PACKET];
+            let mut rgb = [0.0f32; 3];
+            let mut alpha = 0.0f32;
+            ray.march(|pos| {
+                let m = pos.len();
+                opacities(pos, &mut vals[..m], &mut alphas[..m]);
+                for (j, &q) in pos.iter().enumerate() {
+                    let a = alphas[j];
+                    if a > 1e-4 {
+                        let mut c = color(q, vals[j]);
+                        if p.shading {
+                            let g = normalize3(gradient_trilinear(vol, q[0], q[1], q[2]));
+                            let ndotl = (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
+                            let shade = p.ambient + (1.0 - p.ambient) * ndotl;
+                            for ch in &mut c {
+                                *ch *= shade;
+                            }
+                            // Headlight specular: the half-vector coincides
+                            // with the light/view direction, so the highlight
+                            // is |n·l|^s.
+                            if p.specular > 0.0 {
+                                let spec = p.specular * ndotl.powf(p.shininess);
+                                for ch in &mut c {
+                                    *ch += spec;
+                                }
+                            }
+                        }
+                        let wgt = a * (1.0 - alpha);
+                        for ch in 0..3 {
+                            rgb[ch] += wgt * c[ch];
+                        }
+                        alpha += wgt;
+                        if alpha >= p.early_termination {
+                            return false;
+                        }
+                    }
+                }
+                true
+            });
+            [
+                rgb[0] + (1.0 - alpha) * p.background[0],
+                rgb[1] + (1.0 - alpha) * p.background[1],
+                rgb[2] + (1.0 - alpha) * p.background[2],
+            ]
+        })
+    }
+
+    /// The row driver under every mode: scanlines fan out over the pool, and
+    /// each pixel's ray is clipped to the volume box and handed to `trace`
+    /// (a ray that misses the box shows the background).
+    fn cast(
+        &self,
+        vol: &ScalarVolume,
+        camera: &Camera,
+        w: usize,
+        h: usize,
+        trace: impl Fn(&Ray) -> [f32; 3] + Sync,
+    ) -> Image {
+        let p = &self.params;
+        let d = vol.dims();
+        let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
+        let mut img = Image::new(w, h);
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();
         let obs = ifet_obs::handle();
         rows.into_par_iter().for_each(|(py, row)| {
+            // Workers may not open spans; per-scanline work is reported as
+            // deterministic counters merged when each row finishes.
             let _obs = obs.enter();
+            for (px, out) in row.chunks_exact_mut(3).enumerate() {
+                let (origin, dir) = camera.ray(px, py, w, h);
+                let ray = ray_box(origin, dir, bounds).and_then(|(t_enter, t_exit)| {
+                    let t0 = t_enter.max(0.0);
+                    (t0 <= t_exit).then(|| Ray {
+                        origin,
+                        dir,
+                        t0,
+                        step: p.step,
+                        n_steps: ((t_exit - t0) / p.step) as usize + 1,
+                        packet: p.packet_size(),
+                    })
+                });
+                let rgb = ray.map_or(p.background, |ray| trace(&ray));
+                for (o, c) in out.iter_mut().zip(rgb) {
+                    *o = c.clamp(0.0, 1.0);
+                }
+            }
             ifet_obs::counter("scanlines", 1);
             ifet_obs::counter("pixels", w as u64);
-            let packet = p.packet_size();
-            let mut vals = [0.0f32; MAX_PACKET];
-            for px in 0..w {
-                let (origin, dir) = camera.ray(px, py, w, h);
-                let rgb = if let Some((t_enter, t_exit)) = ray_box(origin, dir, bounds) {
-                    let mut best = f32::NEG_INFINITY;
-                    let t0 = t_enter.max(0.0);
-                    let n_steps = if t0 > t_exit {
-                        0
-                    } else {
-                        ((t_exit - t0) / p.step) as usize + 1
-                    };
-                    let mut k = 0;
-                    while k < n_steps {
-                        let m = packet.min(n_steps - k);
-                        for (j, v) in vals[..m].iter_mut().enumerate() {
-                            let t = t0 + (k + j) as f32 * p.step;
-                            *v = trilinear(
-                                vol,
-                                origin[0] + dir[0] * t,
-                                origin[1] + dir[1] * t,
-                                origin[2] + dir[2] * t,
-                            );
-                        }
-                        for &v in &vals[..m] {
-                            best = best.max(v);
-                        }
-                        k += m;
-                    }
-                    if best.is_finite() {
-                        cmap.sample_in(best, vlo, vhi)
-                    } else {
-                        p.background
-                    }
-                } else {
-                    p.background
-                };
-                row[3 * px] = rgb[0].clamp(0.0, 1.0);
-                row[3 * px + 1] = rgb[1].clamp(0.0, 1.0);
-                row[3 * px + 2] = rgb[2].clamp(0.0, 1.0);
-            }
         });
         img
+    }
+}
+
+/// One pixel's ray, clipped to the volume box: `n_steps` samples from `t0`.
+struct Ray {
+    origin: [f32; 3],
+    dir: [f32; 3],
+    t0: f32,
+    step: f32,
+    n_steps: usize,
+    packet: usize,
+}
+
+impl Ray {
+    /// Visit the sample positions in order, up to `packet` at a time, until
+    /// `visit` returns false. Positions are index-based (`t0 + k·step`, never
+    /// an accumulated `t += step`), so the sample set is independent of the
+    /// packet width.
+    fn march(&self, mut visit: impl FnMut(&[[f32; 3]]) -> bool) {
+        let mut pos = [[0.0f32; 3]; MAX_PACKET];
+        let mut k = 0;
+        while k < self.n_steps {
+            let m = self.packet.min(self.n_steps - k);
+            for (j, q) in pos[..m].iter_mut().enumerate() {
+                let t = self.t0 + (k + j) as f32 * self.step;
+                *q = [
+                    self.origin[0] + self.dir[0] * t,
+                    self.origin[1] + self.dir[1] * t,
+                    self.origin[2] + self.dir[2] * t,
+                ];
+            }
+            if !visit(&pos[..m]) {
+                return;
+            }
+            k += m;
+        }
     }
 }
 
@@ -490,15 +428,14 @@ pub fn render_tracking_overlay(
     h: usize,
 ) -> Image {
     assert_eq!(tracked.dims(), vol.dims());
-    renderer.render_impl(
+    renderer.render_tf(
         vol,
         base_tf,
         cmap,
         camera,
         w,
         h,
-        Some(tracked),
-        Some(adaptive_tf),
+        Some((tracked, adaptive_tf)),
     )
 }
 
@@ -692,6 +629,19 @@ mod tests {
     }
 
     #[test]
+    fn classified_render_honours_specular() {
+        let (vol, _, cam) = setup(20);
+        let at = |specular: f32| {
+            let mut r = Renderer::default();
+            r.params.specular = specular;
+            r.render_classified(&vol, &vol, ColorMap::Grayscale, &cam, 32, 32)
+        };
+        let (plain, shiny) = (at(0.0), at(0.6));
+        assert_ne!(plain, shiny, "specular must change a classified render");
+        assert!(shiny.mean_luminance() > plain.mean_luminance());
+    }
+
+    #[test]
     #[should_panic]
     fn classified_render_dims_mismatch_panics() {
         let (vol, _, cam) = setup(8);
@@ -754,7 +704,7 @@ mod tests {
     fn packet_size_does_not_change_output() {
         // Sample positions are index-based and compositing is serial, so the
         // packet width is a pure throughput knob: images must be identical
-        // (not just close) at every width, in all three render modes.
+        // (not just close) at every width, in every render mode.
         let (vol, tf, cam) = setup(20);
         let tracked = Mask3::threshold(&vol, 0.5);
         let adaptive = TransferFunction1D::band(0.0, 1.0, 0.5, 1.0, 1.0);
@@ -781,6 +731,76 @@ mod tests {
         let reference = at(1);
         for packet in [3usize, 8, 64, 1000] {
             assert_eq!(at(packet), reference, "packet {packet}");
+        }
+    }
+
+    /// FNV-1a over the f32 bits of every channel of every pixel.
+    fn digest(img: &Image) -> u64 {
+        img.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn every_mode_matches_its_pinned_digest() {
+        // Pins each mode's output bits so a reordered shading or blend term
+        // shows up even where no visual test would notice. The blob sits off
+        // centre, so rays cross it at many depths and angles.
+        const PINNED: [(&str, u64); 5] = [
+            ("dvr", 0x1ec0_f2b6_3810_4f48),
+            ("dvr specular 0.4", 0x445d_4c2d_7c38_4e92),
+            ("overlay", 0x120d_00ca_1528_0c9d),
+            ("classified", 0xa720_48e5_a077_8ffc),
+            ("mip", 0xae4b_4cc4_e67c_54b5),
+        ];
+        let d = Dims3::cube(24);
+        let blob = |x: usize, y: usize, z: usize| {
+            let r2 = [(x, 6.0), (y, 5.0), (z, 15.0)]
+                .iter()
+                .map(|&(c, m)| (c as f32 - m).powi(2))
+                .sum::<f32>();
+            (-r2 / 20.0).exp()
+        };
+        let vol = ScalarVolume::from_fn(d, blob);
+        // Certainty differs from the data, so opacity and colour come from
+        // different fields as they do after classification.
+        let certainty = ScalarVolume::from_fn(d, |x, y, z| (1.6 * blob(x, y, z) - 0.1).max(0.0));
+        let tracked = Mask3::from_fn(d, |x, y, z| blob(x, y, z) > 0.5);
+        let (lo, hi) = vol.value_range();
+        let base = TransferFunction1D::band(lo, hi, 0.2, hi, 0.4);
+        let adaptive = TransferFunction1D::band(lo, hi, 0.5, hi, 0.9);
+        let cam = Camera::framing(d, 0.7, 0.35);
+        for packet in [1usize, 8, 64] {
+            let mut r = Renderer::default();
+            r.params.packet = packet;
+            let mut shiny = r.clone();
+            shiny.params.specular = 0.4;
+            let got = [
+                r.render(&vol, &base, ColorMap::Rainbow, &cam, 32, 32),
+                shiny.render(&vol, &base, ColorMap::Rainbow, &cam, 32, 32),
+                render_tracking_overlay(
+                    &r,
+                    &vol,
+                    &tracked,
+                    &base,
+                    &adaptive,
+                    ColorMap::Rainbow,
+                    &cam,
+                    32,
+                    32,
+                ),
+                r.render_classified(&vol, &certainty, ColorMap::Rainbow, &cam, 32, 32),
+                r.render_mip(&vol, ColorMap::Rainbow, &cam, 32, 32),
+            ];
+            for ((mode, want), img) in PINNED.iter().zip(&got) {
+                let lit = img.as_slice().iter().filter(|&&v| v > 0.0).count();
+                assert!(lit > 0, "{mode}: nothing in view");
+                let got = digest(img);
+                assert_eq!(got, *want, "{mode} at packet {packet}: {got:#018x}");
+            }
         }
     }
 

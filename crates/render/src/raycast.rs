@@ -4,7 +4,7 @@
 use crate::camera::Camera;
 use crate::image::Image;
 use ifet_tf::{ColorMap, TransferFunction1D};
-use ifet_volume::sample::{gradient_trilinear, normalize3, trilinear};
+use ifet_volume::sample::{nearest_index, normalize3, SampleView};
 use ifet_volume::{Mask3, ScalarVolume};
 use rayon::prelude::*;
 
@@ -91,7 +91,9 @@ fn corrected_table(tf: &TransferFunction1D, opacity_scale: f32, step: f32) -> Ve
 /// pixel's ray to the volume, `Ray::march` visits its sample positions a
 /// packet at a time, and `composite` shades and blends them front to back.
 /// A mode supplies only its packet opacities and sample color, or (MIP) a
-/// running max in place of the blend.
+/// running max in place of the blend. Each mode resolves its volumes into
+/// [`SampleView`]s once per frame, so samples index the voxel slices
+/// directly.
 #[derive(Debug, Clone, Default)]
 pub struct Renderer {
     pub params: RenderParams,
@@ -135,25 +137,27 @@ impl Renderer {
         let corr = corrected_table(tf, p.opacity_scale, p.step);
         let overlay =
             overlay.map(|(mask, otf)| (mask, otf, corrected_table(otf, p.opacity_scale, p.step)));
+        let view = SampleView::new(vol);
         // Tracked-feature overlay: voxels inside the region-grow mask render
         // red with the adaptive TF's opacity (Section 7).
         let tracked = |q: [f32; 3]| {
             let (mask, otf, ocorr) = overlay.as_ref()?;
-            let (x, y, z) = mask.dims().clamp_i(
-                q[0].round() as i64,
-                q[1].round() as i64,
-                q[2].round() as i64,
+            let d = mask.dims();
+            let (x, y, z) = (
+                nearest_index(q[0], d.nx),
+                nearest_index(q[1], d.ny),
+                nearest_index(q[2], d.nz),
             );
             mask.get(x, y, z).then_some((otf, ocorr))
         };
         self.composite(
-            vol,
+            view,
             camera,
             w,
             h,
             |pos, vals, alphas| {
                 for (v, q) in vals.iter_mut().zip(pos) {
-                    *v = trilinear(vol, q[0], q[1], q[2]);
+                    *v = view.trilinear(q[0], q[1], q[2]);
                 }
                 for ((a, &v), &q) in alphas.iter_mut().zip(&*vals).zip(pos) {
                     *a = match tracked(q) {
@@ -191,8 +195,9 @@ impl Renderer {
         let _span = ifet_obs::span("render.classified");
         let p = &self.params;
         let (vlo, vhi) = vol.value_range();
+        let (view, cert) = (SampleView::new(vol), SampleView::new(certainty));
         self.composite(
-            vol,
+            view,
             camera,
             w,
             h,
@@ -201,11 +206,11 @@ impl Renderer {
             // fetch. The data value is fetched only for visible samples.
             |pos, _, alphas| {
                 for (a, q) in alphas.iter_mut().zip(pos) {
-                    let cert = trilinear(certainty, q[0], q[1], q[2]);
-                    *a = corrected_opacity(cert * p.opacity_scale, p.step);
+                    let c = cert.trilinear(q[0], q[1], q[2]);
+                    *a = corrected_opacity(c * p.opacity_scale, p.step);
                 }
             },
-            |q, _| cmap.sample_in(trilinear(vol, q[0], q[1], q[2]), vlo, vhi),
+            |q, _| cmap.sample_in(view.trilinear(q[0], q[1], q[2]), vlo, vhi),
         )
     }
 
@@ -223,11 +228,12 @@ impl Renderer {
     ) -> Image {
         let _span = ifet_obs::span("render.mip");
         let (vlo, vhi) = vol.value_range();
-        self.cast(vol, camera, w, h, |ray| {
+        let view = SampleView::new(vol);
+        self.cast(view, camera, w, h, |ray| {
             let mut best = f32::NEG_INFINITY;
             ray.march(|pos| {
                 for q in pos {
-                    best = best.max(trilinear(vol, q[0], q[1], q[2]));
+                    best = best.max(view.trilinear(q[0], q[1], q[2]));
                 }
                 true
             });
@@ -246,7 +252,7 @@ impl Renderer {
     /// blended serially in sample order.
     fn composite(
         &self,
-        vol: &ScalarVolume,
+        view: SampleView<'_>,
         camera: &Camera,
         w: usize,
         h: usize,
@@ -255,7 +261,7 @@ impl Renderer {
     ) -> Image {
         let p = &self.params;
         let light = camera.view_dir(); // headlight
-        self.cast(vol, camera, w, h, |ray| {
+        self.cast(view, camera, w, h, |ray| {
             let mut vals = [0.0f32; MAX_PACKET];
             let mut alphas = [0.0f32; MAX_PACKET];
             let mut rgb = [0.0f32; 3];
@@ -268,7 +274,7 @@ impl Renderer {
                     if a > 1e-4 {
                         let mut c = color(q, vals[j]);
                         if p.shading {
-                            let g = normalize3(gradient_trilinear(vol, q[0], q[1], q[2]));
+                            let g = normalize3(view.gradient(q[0], q[1], q[2]));
                             let ndotl = (g[0] * light[0] + g[1] * light[1] + g[2] * light[2]).abs();
                             let shade = p.ambient + (1.0 - p.ambient) * ndotl;
                             for ch in &mut c {
@@ -309,14 +315,14 @@ impl Renderer {
     /// (a ray that misses the box shows the background).
     fn cast(
         &self,
-        vol: &ScalarVolume,
+        view: SampleView<'_>,
         camera: &Camera,
         w: usize,
         h: usize,
         trace: impl Fn(&Ray) -> [f32; 3] + Sync,
     ) -> Image {
         let p = &self.params;
-        let d = vol.dims();
+        let d = view.dims();
         let bounds = [d.nx as f32 - 1.0, d.ny as f32 - 1.0, d.nz as f32 - 1.0];
         let mut img = Image::new(w, h);
         let rows: Vec<(usize, &mut [f32])> = img.rows_mut().enumerate().collect();

@@ -1,5 +1,6 @@
 //! One-dimensional transfer functions.
 
+use ifet_volume::sample::bin_index;
 use serde::{Deserialize, Serialize};
 
 /// Number of table entries used throughout (the paper evaluates its network
@@ -118,8 +119,7 @@ impl TransferFunction1D {
     /// Table entry index for a value (clamped).
     #[inline]
     pub fn entry_of(&self, v: f32) -> usize {
-        let t = (v - self.lo) / (self.hi - self.lo);
-        ((t * TF_ENTRIES as f32).floor() as i64).clamp(0, TF_ENTRIES as i64 - 1) as usize
+        bin_index((v - self.lo) / (self.hi - self.lo), TF_ENTRIES)
     }
 
     /// Central data value of entry `i`.

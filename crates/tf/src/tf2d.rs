@@ -7,7 +7,7 @@
 //! one derived property, but — unlike the IATF — it is still static in time
 //! and still cannot encode neighborhood *size*.
 
-use ifet_volume::sample::gradient_magnitude_volume;
+use ifet_volume::sample::{bin_index, gradient_magnitude_volume};
 use ifet_volume::{Mask3, ScalarVolume};
 use serde::{Deserialize, Serialize};
 
@@ -121,8 +121,7 @@ impl TransferFunction2D {
 
 #[inline]
 fn bin_of(x: f32, lo: f32, hi: f32) -> usize {
-    let t = (x - lo) / (hi - lo);
-    ((t * TF2D_BINS as f32).floor() as i64).clamp(0, TF2D_BINS as i64 - 1) as usize
+    bin_index((x - lo) / (hi - lo), TF2D_BINS)
 }
 
 #[cfg(test)]

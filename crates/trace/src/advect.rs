@@ -22,6 +22,7 @@
 
 use crate::TraceError;
 use ifet_obs as obs;
+use ifet_volume::sample::axis_cell_f64;
 use ifet_volume::{walk_frame_pairs, Dims3, FrameSource, ScalarVolume};
 use rayon::prelude::*;
 
@@ -137,20 +138,9 @@ impl<'a> PairSampler<'a> {
 /// computed in `f64` and clamped to the domain (matching
 /// [`ifet_volume::VectorVolume::trilinear`]'s boundary policy).
 fn trilinear64(vol: &ScalarVolume, d: Dims3, p: [f64; 3]) -> f64 {
-    let cx = p[0].clamp(0.0, (d.nx - 1) as f64);
-    let cy = p[1].clamp(0.0, (d.ny - 1) as f64);
-    let cz = p[2].clamp(0.0, (d.nz - 1) as f64);
-    let (x0, y0, z0) = (
-        cx.floor() as usize,
-        cy.floor() as usize,
-        cz.floor() as usize,
-    );
-    let (x1, y1, z1) = (
-        (x0 + 1).min(d.nx - 1),
-        (y0 + 1).min(d.ny - 1),
-        (z0 + 1).min(d.nz - 1),
-    );
-    let (fx, fy, fz) = (cx - x0 as f64, cy - y0 as f64, cz - z0 as f64);
+    let (x0, x1, fx) = axis_cell_f64(p[0], d.nx);
+    let (y0, y1, fy) = axis_cell_f64(p[1], d.ny);
+    let (z0, z1, fz) = axis_cell_f64(p[2], d.nz);
     let at = |x: usize, y: usize, z: usize| *vol.get(x, y, z) as f64;
     let lerp = |a: f64, b: f64, t: f64| a + (b - a) * t;
     let c00 = lerp(at(x0, y0, z0), at(x1, y0, z0), fx);

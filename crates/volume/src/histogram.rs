@@ -7,6 +7,7 @@
 //! are positional or global intensity shifts, a feature's *cumulative*
 //! histogram value stays nearly constant even though its raw value drifts.
 
+use crate::sample::bin_index;
 use crate::volume::ScalarVolume;
 use serde::{Deserialize, Serialize};
 
@@ -41,9 +42,7 @@ impl Histogram {
             let bin = if span <= 0.0 {
                 0
             } else {
-                (((v - lo) / span) * bins as f32)
-                    .floor()
-                    .clamp(0.0, (bins - 1) as f32) as usize
+                bin_index((v - lo) / span, bins)
             };
             counts[bin] += 1;
         }
@@ -83,9 +82,7 @@ impl Histogram {
         if span <= 0.0 {
             return 0;
         }
-        (((v - self.lo) / span) * self.bins() as f32)
-            .floor()
-            .clamp(0.0, (self.bins() - 1) as f32) as usize
+        bin_index((v - self.lo) / span, self.bins())
     }
 
     /// Central value of a bin.
@@ -178,10 +175,7 @@ impl CumulativeHistogram {
         if span <= 0.0 || v >= self.hi {
             return self.total;
         }
-        let bin = (((v - self.lo) / span) * self.bins() as f32)
-            .floor()
-            .clamp(0.0, (self.bins() - 1) as f32) as usize;
-        self.cum[bin]
+        self.cum[bin_index((v - self.lo) / span, self.bins())]
     }
 
     /// Fraction of voxels with value `<= v`, in `[0, 1]`.

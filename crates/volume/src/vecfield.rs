@@ -3,6 +3,7 @@
 
 #![allow(clippy::needless_range_loop)] // indexing fixed-size [f64; 3] axes
 use crate::dims::Dims3;
+use crate::sample::axis_cell;
 use crate::volume::{ScalarVolume, Volume};
 use serde::{Deserialize, Serialize};
 
@@ -145,18 +146,9 @@ impl VectorVolume {
     /// Trilinear interpolation of the vector field at continuous coordinates.
     pub fn trilinear(&self, x: f32, y: f32, z: f32) -> [f32; 3] {
         let d = self.dims;
-        let cx = x.clamp(0.0, (d.nx - 1) as f32);
-        let cy = y.clamp(0.0, (d.ny - 1) as f32);
-        let cz = z.clamp(0.0, (d.nz - 1) as f32);
-        let x0 = cx.floor() as usize;
-        let y0 = cy.floor() as usize;
-        let z0 = cz.floor() as usize;
-        let x1 = (x0 + 1).min(d.nx - 1);
-        let y1 = (y0 + 1).min(d.ny - 1);
-        let z1 = (z0 + 1).min(d.nz - 1);
-        let fx = cx - x0 as f32;
-        let fy = cy - y0 as f32;
-        let fz = cz - z0 as f32;
+        let (x0, x1, fx) = axis_cell(x, d.nx);
+        let (y0, y1, fy) = axis_cell(y, d.ny);
+        let (z0, z1, fz) = axis_cell(z, d.nz);
         let mut out = [0.0f32; 3];
         for k in 0..3 {
             let v000 = self.get(x0, y0, z0)[k];

@@ -581,7 +581,7 @@ fn cmd_track_impl<S: FrameSource>(args: &Args, series: S) -> Result<String, Stri
             FeatureAttributes::measure_all(&labelings[i], frame)
         })
         .map_err(|e| format!("attribute measurement failed: {e}"))?;
-    let track_set = extract_tracks_from_parts(&labelings, &attrs, result.report.clone());
+    let track_set = extract_tracks_from_parts(&attrs, result.report.clone());
     out.push_str("tracks:\n");
     for t in &track_set.tracks {
         let last = t.start_frame + t.lifetime() - 1;

@@ -42,25 +42,25 @@ impl FeatureAttributes {
         let mut weighted: Vec<[f64; 3]> = vec![[0.0; 3]; n];
         let mut unweighted: Vec<[f64; 3]> = vec![[0.0; 3]; n];
 
+        // Runs in scan order visit the voxels in the order of a full x-y-z
+        // sweep, so every per-label f64 sum adds its terms in that order.
         let d = labels.dims();
-        for z in 0..d.nz {
-            for y in 0..d.ny {
-                for x in 0..d.nx {
-                    let l = labels.label_at(x, y, z);
-                    if l == 0 {
-                        continue;
-                    }
-                    let a = &mut out[(l - 1) as usize];
-                    let v = *data.get(x, y, z) as f64;
-                    a.volume += 1;
-                    a.mass += v;
-                    let c = [x, y, z];
-                    for k in 0..3 {
-                        weighted[(l - 1) as usize][k] += v * c[k] as f64;
-                        unweighted[(l - 1) as usize][k] += c[k] as f64;
-                        a.bbox.0[k] = a.bbox.0[k].min(c[k]);
-                        a.bbox.1[k] = a.bbox.1[k].max(c[k]);
-                    }
+        let values = data.as_slice();
+        for r in labels.runs() {
+            let li = (r.label - 1) as usize;
+            let row = r.row as usize;
+            let (y, z) = (row % d.ny, row / d.ny);
+            let a = &mut out[li];
+            for x in r.x0 as usize..r.x1 as usize {
+                let v = values[row * d.nx + x] as f64;
+                a.volume += 1;
+                a.mass += v;
+                let c = [x, y, z];
+                for k in 0..3 {
+                    weighted[li][k] += v * c[k] as f64;
+                    unweighted[li][k] += c[k] as f64;
+                    a.bbox.0[k] = a.bbox.0[k].min(c[k]);
+                    a.bbox.1[k] = a.bbox.1[k].max(c[k]);
                 }
             }
         }

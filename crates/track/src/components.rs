@@ -3,8 +3,17 @@
 //! Features "are defined as connected nodes that satisfy a certain criteria"
 //! (Section 2, citing the flood-fill extraction literature). Components are
 //! labeled 1..=count; 0 means background.
+//!
+//! A labeling is stored as the mask's maximal x-runs in scan order, each
+//! carrying its label, so it costs time and memory in proportion to the
+//! feature rather than the grid. Runs are joined with union-find against
+//! the already-seen rows they can touch, and labels are numbered in the scan
+//! order of each component's first run: label `l` is the component with the
+//! `l`-th smallest lowest linear index, the numbering a scan-order flood
+//! fill gives.
 
-use ifet_volume::{Dims3, Mask3, Volume};
+use ifet_volume::{Dims3, Mask3};
+use std::ops::Range;
 
 /// Connectivity for component labeling and region growing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,55 +24,93 @@ pub enum Connectivity {
     TwentySix,
 }
 
+/// A maximal run of set voxels along x: voxels `x0..x1` of row
+/// `row = y + ny * z`, all in component `label`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub row: u32,
+    pub x0: u32,
+    pub x1: u32,
+    pub label: u32,
+}
+
+impl Run {
+    pub fn len(&self) -> usize {
+        (self.x1 - self.x0) as usize
+    }
+}
+
 /// A labeling of a mask into connected components.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentLabels {
-    labels: Volume<u32>,
+    dims: Dims3,
+    /// Every set voxel's run, in scan order (by row, then x).
+    runs: Vec<Run>,
+    /// The runs of row `r` are `runs[row_start[r]..row_start[r + 1]]`.
+    row_start: Vec<usize>,
     count: u32,
 }
 
 impl ComponentLabels {
-    /// Label the connected components of `mask` (BFS flood fill).
+    /// Label the connected components of `mask`.
     pub fn label(mask: &Mask3, conn: Connectivity) -> Self {
         let d = mask.dims();
-        let mut labels = Volume::filled(d, 0u32);
-        let mut next = 0u32;
-        let mut queue = std::collections::VecDeque::new();
+        assert!(
+            d.nx < u32::MAX as usize && d.ny * d.nz <= u32::MAX as usize,
+            "grid {d} too large for run labels"
+        );
+        let mut runs = x_runs(mask);
+        let rows = d.ny * d.nz;
+        let mut row_start = vec![0usize; rows + 1];
+        for r in &runs {
+            row_start[r.row as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            row_start[r + 1] += row_start[r];
+        }
 
-        for start in 0..d.len() {
-            if !mask.get_linear(start) || labels.as_slice()[start] != 0 {
+        // Earlier rows `(dy, dz)` a run can touch, and the x gap it can
+        // bridge: a diagonal step reaches one voxel past either end.
+        let (earlier, slack): (&[(isize, isize)], u32) = match conn {
+            Connectivity::Six => (&[(-1, 0), (0, -1)], 0),
+            Connectivity::TwentySix => (&[(-1, 0), (-1, -1), (0, -1), (1, -1)], 1),
+        };
+        // Union-find over runs, always linking to the lower index, so each
+        // root is its component's first run in scan order.
+        let mut parent: Vec<usize> = (0..runs.len()).collect();
+        for row in 0..rows {
+            let cur = row_start[row]..row_start[row + 1];
+            if cur.is_empty() {
                 continue;
             }
-            next += 1;
-            labels.as_mut_slice()[start] = next;
-            queue.push_back(start);
-            while let Some(i) = queue.pop_front() {
-                let (x, y, z) = d.coords(i);
-                let mut visit = |nx: usize, ny: usize, nz: usize| {
-                    let j = d.index(nx, ny, nz);
-                    if mask.get_linear(j) && labels.as_slice()[j] == 0 {
-                        labels.as_mut_slice()[j] = next;
-                        queue.push_back(j);
-                    }
-                };
-                match conn {
-                    Connectivity::Six => {
-                        for (nx, ny, nz) in d.neighbors6(x, y, z) {
-                            visit(nx, ny, nz);
-                        }
-                    }
-                    Connectivity::TwentySix => {
-                        for (nx, ny, nz) in d.neighbors26(x, y, z) {
-                            visit(nx, ny, nz);
-                        }
-                    }
+            let (y, z) = ((row % d.ny) as isize, (row / d.ny) as isize);
+            for &(dy, dz) in earlier {
+                let (py, pz) = (y + dy, z + dz);
+                if py < 0 || pz < 0 || py >= d.ny as isize {
+                    continue;
                 }
+                let other = py as usize + d.ny * pz as usize;
+                let prev = row_start[other]..row_start[other + 1];
+                join_rows(&runs, &mut parent, cur.clone(), prev, slack);
             }
         }
 
+        let mut count = 0u32;
+        for i in 0..runs.len() {
+            let root = find(&mut parent, i);
+            runs[i].label = if root == i {
+                count += 1;
+                count
+            } else {
+                runs[root].label
+            };
+        }
+
         Self {
-            labels,
-            count: next,
+            dims: d,
+            runs,
+            row_start,
+            count,
         }
     }
 
@@ -73,27 +120,33 @@ impl ComponentLabels {
     }
 
     pub fn dims(&self) -> Dims3 {
-        self.labels.dims()
+        self.dims
+    }
+
+    /// The labeled runs in scan order.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
     /// Label of a voxel (0 = background).
     #[inline]
     pub fn label_at(&self, x: usize, y: usize, z: usize) -> u32 {
-        *self.labels.get(x, y, z)
-    }
-
-    /// Raw label volume.
-    pub fn labels(&self) -> &Volume<u32> {
-        &self.labels
+        debug_assert!(self.dims.contains(x, y, z), "({x},{y},{z}) out of bounds");
+        let r = y + self.dims.ny * z;
+        let row = &self.runs[self.row_start[r]..self.row_start[r + 1]];
+        let k = row.partition_point(|r| r.x1 as usize <= x);
+        match row.get(k) {
+            Some(r) if r.x0 as usize <= x => r.label,
+            _ => 0,
+        }
     }
 
     /// Voxel count per component (index 0 unused; `sizes()[l]` for label l).
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.count as usize + 1];
-        for &l in self.labels.as_slice() {
-            sizes[l as usize] += 1;
+        for r in &self.runs {
+            sizes[r.label as usize] += r.len();
         }
-        sizes[0] = 0;
         sizes
     }
 
@@ -103,14 +156,7 @@ impl ComponentLabels {
             label >= 1 && label <= self.count,
             "label {label} out of range"
         );
-        let d = self.labels.dims();
-        let mut m = Mask3::empty(d);
-        for (i, &l) in self.labels.as_slice().iter().enumerate() {
-            if l == label {
-                m.set_linear(i, true);
-            }
-        }
-        m
+        self.mask_of(|l| l == label)
     }
 
     /// The label with the most voxels (None when there are no components).
@@ -122,15 +168,98 @@ impl ComponentLabels {
     /// Drop components smaller than `min_voxels`, returning the cleaned mask.
     pub fn filter_small(&self, min_voxels: usize) -> Mask3 {
         let sizes = self.sizes();
-        let d = self.labels.dims();
-        let mut m = Mask3::empty(d);
-        for (i, &l) in self.labels.as_slice().iter().enumerate() {
-            if l != 0 && sizes[l as usize] >= min_voxels {
+        self.mask_of(|l| sizes[l as usize] >= min_voxels)
+    }
+
+    /// Mask of the runs whose label passes `keep`.
+    fn mask_of(&self, keep: impl Fn(u32) -> bool) -> Mask3 {
+        let mut m = Mask3::empty(self.dims);
+        for r in self.runs.iter().filter(|r| keep(r.label)) {
+            let base = r.row as usize * self.dims.nx;
+            for i in base + r.x0 as usize..base + r.x1 as usize {
                 m.set_linear(i, true);
             }
         }
         m
     }
+}
+
+/// Label every mask's connected components (26-connectivity), once per
+/// frame: the labelings events, attributes and tracks are all built from.
+pub fn label_masks(masks: &[Mask3]) -> Vec<ComponentLabels> {
+    masks
+        .iter()
+        .map(|m| ComponentLabels::label(m, Connectivity::TwentySix))
+        .collect()
+}
+
+/// The maximal x-runs of `mask` in scan order (labels left 0), read off its
+/// words: each stretch of consecutive set bits, cut at row ends.
+fn x_runs(mask: &Mask3) -> Vec<Run> {
+    let nx = mask.dims().nx;
+    let mut runs: Vec<Run> = Vec::new();
+    for (wi, &word) in mask.words().iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            let s = w.trailing_zeros() as usize;
+            let n = (w >> s).trailing_ones() as usize;
+            w &= u64::MAX.checked_shl((s + n) as u32).unwrap_or(0);
+            let (mut i, end) = (wi * 64 + s, wi * 64 + s + n);
+            while i < end {
+                let row = i / nx;
+                let (x0, x1) = (
+                    (i - row * nx) as u32,
+                    (end.min(row * nx + nx) - row * nx) as u32,
+                );
+                // A stretch that crosses a word boundary continues a run.
+                match runs.last_mut() {
+                    Some(r) if r.row as usize == row && r.x1 == x0 => r.x1 = x1,
+                    _ => runs.push(Run {
+                        row: row as u32,
+                        x0,
+                        x1,
+                        label: 0,
+                    }),
+                }
+                i += (x1 - x0) as usize;
+            }
+        }
+    }
+    runs
+}
+
+/// Union every run of `cur` with the runs of the earlier row `prev` it
+/// touches: x ranges that overlap, or, with `slack` 1, sit one voxel apart.
+fn join_rows(
+    runs: &[Run],
+    parent: &mut [usize],
+    cur: Range<usize>,
+    prev: Range<usize>,
+    slack: u32,
+) {
+    let mut lo = prev.start;
+    for i in cur {
+        let a = runs[i];
+        // Runs of `prev` entirely left of `a` are left of every later run.
+        while lo < prev.end && runs[lo].x1 + slack <= a.x0 {
+            lo += 1;
+        }
+        let mut j = lo;
+        while j < prev.end && runs[j].x0 < a.x1 + slack {
+            let (ri, rj) = (find(parent, i), find(parent, j));
+            parent[ri.max(rj)] = ri.min(rj);
+            j += 1;
+        }
+    }
+}
+
+/// Root of `i`, halving the path on the way.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! event vocabulary: continuation, split, merge, birth (dissipation's
 //! inverse) and death.
 
-use crate::components::{ComponentLabels, Connectivity};
+use crate::components::{label_masks, ComponentLabels, Run};
 use ifet_volume::Mask3;
 use serde::{Deserialize, Serialize};
 
@@ -61,14 +61,16 @@ impl TrackReport {
 }
 
 /// Analyze a per-frame mask sequence (e.g. the output of
-/// [`crate::region_grow::grow_4d`]) into components and events.
+/// [`crate::region_grow::grow_4d`]) into components and events: label each
+/// mask, then [`events_from_labelings`].
 pub fn track_events(masks: &[Mask3]) -> TrackReport {
-    assert!(!masks.is_empty());
-    let labelings: Vec<ComponentLabels> = masks
-        .iter()
-        .map(|m| ComponentLabels::label(m, Connectivity::TwentySix))
-        .collect();
+    events_from_labelings(&label_masks(masks))
+}
 
+/// The event report of per-frame labelings (one per mask, as
+/// [`label_masks`] makes them).
+pub fn events_from_labelings(labelings: &[ComponentLabels]) -> TrackReport {
+    assert!(!labelings.is_empty());
     let mut events = Vec::new();
     for fi in 0..labelings.len() - 1 {
         events.extend(transition_events(fi, &labelings[fi], &labelings[fi + 1]));
@@ -76,53 +78,51 @@ pub fn track_events(masks: &[Mask3]) -> TrackReport {
 
     TrackReport {
         components_per_frame: labelings.iter().map(|l| l.count()).collect(),
-        voxels_per_frame: masks.iter().map(|m| m.count()).collect(),
+        voxels_per_frame: labelings
+            .iter()
+            .map(|l| l.runs().iter().map(Run::len).sum())
+            .collect(),
         events,
     }
 }
 
-/// Overlap matrix between two labelings: `overlaps[a-1][b-1]` counts voxels
-/// in component `a` of the first frame AND component `b` of the second.
-fn overlap_matrix(a: &ComponentLabels, b: &ComponentLabels) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; b.count() as usize]; a.count() as usize];
-    let d = a.dims();
-    for z in 0..d.nz {
-        for y in 0..d.ny {
-            for x in 0..d.nx {
-                let la = a.label_at(x, y, z);
-                let lb = b.label_at(x, y, z);
-                if la != 0 && lb != 0 {
-                    m[(la - 1) as usize][(lb - 1) as usize] += 1;
-                }
+/// Every label pair `(a, b)` whose components share a voxel, sorted: a merge
+/// of the two frames' runs, row by row.
+fn overlapping_pairs(a: &ComponentLabels, b: &ComponentLabels) -> Vec<(u32, u32)> {
+    let (ra, rb) = (a.runs(), b.runs());
+    let (mut i, mut j) = (0, 0);
+    let mut pairs = Vec::new();
+    while i < ra.len() && j < rb.len() {
+        let (p, q) = (ra[i], rb[j]);
+        if (p.row, p.x1) <= (q.row, q.x0) {
+            i += 1;
+        } else if (q.row, q.x1) <= (p.row, p.x0) {
+            j += 1;
+        } else {
+            pairs.push((p.label, q.label));
+            if p.x1 <= q.x1 {
+                i += 1;
+            } else {
+                j += 1;
             }
         }
     }
-    m
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 fn transition_events(fi: usize, a: &ComponentLabels, b: &ComponentLabels) -> Vec<Event> {
-    let m = overlap_matrix(a, b);
-    let na = a.count() as usize;
-    let nb = b.count() as usize;
     let mut events = Vec::new();
 
-    // Successors of each `a` component / predecessors of each `b` component.
-    let succ: Vec<Vec<u32>> = (0..na)
-        .map(|i| {
-            (0..nb)
-                .filter(|&j| m[i][j] > 0)
-                .map(|j| j as u32 + 1)
-                .collect()
-        })
-        .collect();
-    let pred: Vec<Vec<u32>> = (0..nb)
-        .map(|j| {
-            (0..na)
-                .filter(|&i| m[i][j] > 0)
-                .map(|i| i as u32 + 1)
-                .collect()
-        })
-        .collect();
+    // Successors of each `a` component / predecessors of each `b` component,
+    // each list ascending (the pairs are sorted by `a`, then `b`).
+    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); a.count() as usize];
+    let mut pred: Vec<Vec<u32>> = vec![Vec::new(); b.count() as usize];
+    for (la, lb) in overlapping_pairs(a, b) {
+        succ[(la - 1) as usize].push(lb);
+        pred[(lb - 1) as usize].push(la);
+    }
 
     for (i, s) in succ.iter().enumerate() {
         let label = i as u32 + 1;

@@ -6,7 +6,8 @@
 //! function is created with the previous method and is used as the region
 //! growing criteria."
 //!
-//! - [`components`] — 3D connected-component labeling (union-find + BFS),
+//! - [`components`] — 3D connected-component labeling (x-runs joined by
+//!   union-find),
 //! - [`attributes`] — per-feature measurements (volume, mass, centroid,
 //!   bounding box) in the spirit of Reinders et al.'s attribute tracking,
 //! - [`criterion`] — pluggable region-growing criteria: a fixed value band
@@ -28,15 +29,13 @@ pub mod region_grow;
 pub mod tracks;
 
 pub use attributes::FeatureAttributes;
-pub use components::ComponentLabels;
+pub use components::{label_masks, ComponentLabels};
 pub use criterion::{
     AdaptiveTfCriterion, CriterionError, FixedBandCriterion, GrowthCriterion, MaskCriterion,
 };
-pub use events::{track_events, Event, EventKind, TrackReport};
+pub use events::{events_from_labelings, track_events, Event, EventKind, TrackReport};
 pub use region_grow::{grow_4d, grow_4d_serial, GrowCheckpoint, GrowError, Grower, Seed4};
-pub use tracks::{
-    extract_tracks, extract_tracks_from_parts, label_masks, Track, TrackEnding, TrackSet,
-};
+pub use tracks::{extract_tracks, extract_tracks_from_parts, Track, TrackEnding, TrackSet};
 
 /// Version of this crate's serialized model types (criteria, checkpoints,
 /// reports) inside session artifacts. Bump on any breaking schema change.

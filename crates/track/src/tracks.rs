@@ -8,8 +8,8 @@
 //! and Reinders et al.'s attribute-curve tracking cited in Section 2).
 
 use crate::attributes::FeatureAttributes;
-use crate::components::{ComponentLabels, Connectivity};
-use crate::events::{track_events, EventKind, TrackReport};
+use crate::components::label_masks;
+use crate::events::{events_from_labelings, EventKind, TrackReport};
 use ifet_volume::{Mask3, ScalarVolume};
 use serde::{Deserialize, Serialize};
 
@@ -87,6 +87,7 @@ impl TrackSet {
 
 /// Build persistent tracks from per-frame masks and the matching data frames
 /// (for attribute measurement). `masks.len()` must equal `frames.len()`.
+/// Each mask is labeled once; events and attributes share that labeling.
 ///
 /// Needs every frame resident at once; out-of-core callers should label and
 /// measure frame-by-frame themselves (e.g. through `map_frames_windowed`)
@@ -101,38 +102,28 @@ pub fn extract_tracks(masks: &[Mask3], frames: &[&ScalarVolume]) -> TrackSet {
         .zip(frames)
         .map(|(l, f)| FeatureAttributes::measure_all(l, f))
         .collect();
-    let report = track_events(masks);
-    extract_tracks_from_parts(&labelings, &attrs, report)
+    extract_tracks_from_parts(&attrs, events_from_labelings(&labelings))
 }
 
-/// Label every mask's connected components (26-connectivity) — the labeling
-/// side of [`extract_tracks`], split out so attribute measurement can page
-/// frames through a bounded window instead of holding them all.
-pub fn label_masks(masks: &[Mask3]) -> Vec<ComponentLabels> {
-    masks
-        .iter()
-        .map(|m| ComponentLabels::label(m, Connectivity::TwentySix))
-        .collect()
-}
-
-/// Stitch tracks from precomputed per-frame labelings, attribute tables, and
-/// the event report. `attrs[fi]` must be the `measure_all` result for
-/// `labelings[fi]`, and `report` the event report of the same mask sequence.
+/// Stitch tracks from per-frame attribute tables and the event report.
+/// `attrs[fi]` must be the `measure_all` result for frame `fi`'s labeling,
+/// and `report` the event report of the same labelings.
 pub fn extract_tracks_from_parts(
-    labelings: &[ComponentLabels],
     attrs: &[Vec<FeatureAttributes>],
     report: TrackReport,
 ) -> TrackSet {
-    assert_eq!(
-        labelings.len(),
-        attrs.len(),
-        "labelings/attrs length mismatch"
+    assert!(!attrs.is_empty());
+    assert!(
+        attrs
+            .iter()
+            .map(Vec::len)
+            .eq(report.components_per_frame.iter().map(|&c| c as usize)),
+        "attrs do not match the report's components per frame"
     );
-    assert!(!labelings.is_empty());
 
     // active[label-1] = track index currently carrying that component.
     let mut tracks: Vec<Track> = Vec::new();
-    let mut active: Vec<Option<usize>> = vec![None; labelings[0].count() as usize];
+    let mut active: Vec<Option<usize>> = vec![None; attrs[0].len()];
 
     // Frame 0: every component starts a track.
     for (ci, a) in attrs[0].iter().enumerate() {
@@ -146,9 +137,8 @@ pub fn extract_tracks_from_parts(
         });
     }
 
-    for fi in 0..labelings.len() - 1 {
-        let next_count = labelings[fi + 1].count() as usize;
-        let mut next_active: Vec<Option<usize>> = vec![None; next_count];
+    for fi in 0..attrs.len() - 1 {
+        let mut next_active: Vec<Option<usize>> = vec![None; attrs[fi + 1].len()];
 
         for e in report.events.iter().filter(|e| e.frame == fi) {
             match e.kind {

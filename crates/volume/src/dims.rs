@@ -105,21 +105,6 @@ impl Dims3 {
                 .then_some((nx as usize, ny as usize, nz as usize))
         })
     }
-
-    /// The 26 (face + edge + corner) neighbours in bounds.
-    pub fn neighbors26(&self, x: usize, y: usize, z: usize) -> impl Iterator<Item = Ix3> + '_ {
-        let d = *self;
-        (-1i64..=1)
-            .flat_map(move |dz| {
-                (-1i64..=1).flat_map(move |dy| (-1i64..=1).map(move |dx| (dx, dy, dz)))
-            })
-            .filter(|&(dx, dy, dz)| (dx, dy, dz) != (0, 0, 0))
-            .filter_map(move |(dx, dy, dz)| {
-                let (nx, ny, nz) = (x as i64 + dx, y as i64 + dy, z as i64 + dz);
-                d.contains_i(nx, ny, nz)
-                    .then_some((nx as usize, ny as usize, nz as usize))
-            })
-    }
 }
 
 impl std::fmt::Display for Dims3 {
@@ -175,13 +160,6 @@ mod tests {
         let d = Dims3::cube(3);
         assert_eq!(d.neighbors6(1, 1, 1).count(), 6);
         assert_eq!(d.neighbors6(0, 0, 0).count(), 3);
-    }
-
-    #[test]
-    fn neighbors26_interior_and_corner() {
-        let d = Dims3::cube(3);
-        assert_eq!(d.neighbors26(1, 1, 1).count(), 26);
-        assert_eq!(d.neighbors26(0, 0, 0).count(), 7);
     }
 
     #[test]

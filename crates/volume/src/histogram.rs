@@ -163,12 +163,13 @@ impl CumulativeHistogram {
         (self.lo, self.hi)
     }
 
-    /// Count of voxels with value `<= v`.
+    /// Count of voxels with value `<= v`. No value is `<= NaN`, so a NaN
+    /// query counts 0.
     pub fn count_at_or_below(&self, v: f32) -> u64 {
         if self.total == 0 {
             return 0;
         }
-        if v < self.lo {
+        if v.is_nan() || v < self.lo {
             return 0;
         }
         let span = self.hi - self.lo;
@@ -257,6 +258,16 @@ mod tests {
     fn nan_values_are_skipped() {
         let h = Histogram::of_values(&[0.5, f32::NAN], 4, 0.0, 1.0);
         assert_eq!(h.total(), 1);
+    }
+
+    #[test]
+    fn nan_query_counts_nothing() {
+        let c = CumulativeHistogram::of_volume(&uniform_ramp(), 32);
+        assert_eq!(c.count_at_or_below(f32::NAN), 0);
+        assert_eq!(c.fraction_at_or_below(f32::NAN), 0.0);
+        let flat =
+            CumulativeHistogram::from_histogram(&Histogram::of_values(&[1.0; 4], 8, 1.0, 1.0));
+        assert_eq!(flat.count_at_or_below(f32::NAN), 0);
     }
 
     #[test]

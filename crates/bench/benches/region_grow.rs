@@ -1,11 +1,13 @@
 //! Region-growing benchmarks: the level-synchronous grower (`grow_4d`, one
 //! thread, per-frame acceptance tables) next to the FIFO oracle
 //! (`grow_4d_serial`, a criterion call per visited edge), plus the cost of
-//! criterion table precomputation on its own. The series is 64³ × 8 frames
-//! with a region that spans every frame, so the temporal exchange between
-//! rounds is exercised.
+//! criterion table precomputation on its own, with adaptive tables of one
+//! to 64 accepted value bands. The series is 64³ × 8 frames with a region
+//! that spans every frame, so the temporal exchange between rounds is
+//! exercised.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ifet_tf::tf1d::TF_ENTRIES;
 use ifet_tf::TransferFunction1D;
 use ifet_track::criterion::{AdaptiveTfCriterion, FixedBandCriterion};
 use ifet_track::{grow_4d, grow_4d_serial, GrowthCriterion, Seed4};
@@ -90,6 +92,21 @@ fn bench_criterion_precompute(c: &mut Criterion) {
     g.bench_function("adaptive_tf_table", |b| {
         b.iter(|| black_box(adaptive.precompute_frame(0, frame)))
     });
+    // Tables that cross `tau` several times: compare passes over the value
+    // bands up to the kernel's cut-off (3 bands), one entry lookup per voxel
+    // past it.
+    for runs in [3, 4, 64] {
+        let mut table = vec![0.0; TF_ENTRIES];
+        for r in 0..runs {
+            let start = r * TF_ENTRIES / runs + 1;
+            table[start..start + 2].fill(1.0);
+        }
+        let tfs = vec![TransferFunction1D::from_table(0.0, 1.0, table); n];
+        let many = AdaptiveTfCriterion::new(tfs, 0.5).unwrap();
+        g.bench_function(format!("adaptive_tf_table_{runs}_bands"), |b| {
+            b.iter(|| black_box(many.precompute_frame(0, frame)))
+        });
+    }
     g.finish();
 }
 

@@ -122,6 +122,30 @@ impl TransferFunction1D {
         bin_index((v - self.lo) / (self.hi - self.lo), TF_ENTRIES)
     }
 
+    /// [`entry_of`](Self::entry_of) for a block of values, as bytes: the
+    /// same scale and clamp to `[0, 255]`, with the truncation done by float
+    /// adds and a bit subtraction instead of a saturating float-to-integer
+    /// cast, which the compiler does not vectorise.
+    #[inline]
+    pub fn entries_of<const N: usize>(&self, vals: &[f32; N], out: &mut [u8; N]) {
+        const _: () = assert!(TF_ENTRIES == 256, "entries must fit a byte");
+        // 2^23: every float in [2^23, 2^24) is an integer, one apart.
+        const SHIFT: f32 = 8_388_608.0;
+        let (lo, span) = (self.lo, self.hi - self.lo);
+        for (e, &v) in out.iter_mut().zip(vals) {
+            // `bin_index`'s clamp, but `max` first, which takes NaN to 0
+            // as the cast does.
+            let t = ((v - lo) / span * TF_ENTRIES as f32)
+                .max(0.0)
+                .min((TF_ENTRIES - 1) as f32);
+            // floor(t) for 0 <= t < 2^23: round to the nearest integer by
+            // adding and subtracting 2^23, then step back if that went up.
+            let r = (t + SHIFT) - SHIFT;
+            let floor = if r > t { r - 1.0 } else { r };
+            *e = ((floor + SHIFT).to_bits() - SHIFT.to_bits()) as u8;
+        }
+    }
+
     /// Central data value of entry `i`.
     #[inline]
     pub fn value_of_entry(&self, i: usize) -> f32 {
@@ -209,6 +233,64 @@ mod tests {
         let tf = TransferFunction1D::transparent(-1.0, 3.0);
         for i in [0usize, 17, 128, 255] {
             assert_eq!(tf.entry_of(tf.value_of_entry(i)), i);
+        }
+    }
+
+    #[test]
+    fn entries_of_matches_entry_of() {
+        // Domains: ordinary, one ulp wide, a span that overflows to inf, and
+        // lo = -inf.
+        let domains = [
+            (-1.0f32, 3.0f32),
+            (0.25, 0.5),
+            (1.0, f32::from_bits(1.0f32.to_bits() + 1)),
+            (-3e38, 3e38),
+            (f32::NEG_INFINITY, 2.0),
+        ];
+        let mut state = 0x2545_f491u32;
+        for (lo, hi) in domains {
+            let tf = TransferFunction1D::transparent(lo, hi);
+            let mut vals = vec![
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f32::from_bits(1),
+                f32::from_bits(0x8000_0001),
+                f32::MAX,
+                f32::MIN,
+            ];
+            // Every entry edge and the floats a few ulps either side: where
+            // the scaled value crosses an integer.
+            for i in 0..=TF_ENTRIES {
+                let edge = lo + (hi - lo) * i as f32 / TF_ENTRIES as f32;
+                for d in -3i32..=3 {
+                    vals.push(f32::from_bits(edge.to_bits().wrapping_add_signed(d)));
+                }
+            }
+            for _ in 0..20_000 {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                vals.push(f32::from_bits(state));
+                let t = (state >> 8) as f32 / (1 << 24) as f32 * 1.4 - 0.2;
+                vals.push(lo + (hi - lo) * t);
+            }
+            for block in vals.chunks(64) {
+                let mut padded = [0.0f32; 64];
+                padded[..block.len()].copy_from_slice(block);
+                let mut out = [0u8; 64];
+                tf.entries_of(&padded, &mut out);
+                for (&v, &e) in padded.iter().zip(&out) {
+                    assert_eq!(
+                        usize::from(e),
+                        tf.entry_of(v),
+                        "value {v:e} on [{lo}, {hi}]"
+                    );
+                }
+            }
         }
     }
 

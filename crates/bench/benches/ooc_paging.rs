@@ -172,9 +172,8 @@ fn bench_grow_paged(c: &mut Criterion) {
     g.finish();
 }
 
-/// Storage-flavor axis: the sequential sweep over raw copying reads,
-/// compressed (`.rawz`) frames decoded on page-in, and zero-copy mmap —
-/// all at cache capacity 2. Setup doubles as the `--compress` density
+/// Storage-flavor axis: the sequential sweep over raw copying reads and
+/// compressed (`.rawz`) frames decoded on page-in, both at cache capacity 2. Setup doubles as the `--compress` density
 /// smoke: charged at compressed size, the same byte budget must page at
 /// least twice the frames the raw series does on this sphere fixture.
 fn bench_storage_flavors(c: &mut Criterion) {
@@ -219,13 +218,9 @@ fn bench_storage_flavors(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ooc_storage");
     g.sample_size(10);
-    let flavors: [(&str, OutOfCoreSeries); 3] = [
-        ("raw", OutOfCoreSeries::open(raw_paths.clone(), 2).unwrap()),
+    let flavors: [(&str, OutOfCoreSeries); 2] = [
+        ("raw", OutOfCoreSeries::open(raw_paths, 2).unwrap()),
         ("compressed", OutOfCoreSeries::open(zpaths, 2).unwrap()),
-        (
-            "mmap",
-            OutOfCoreSeries::open_mmap(raw_paths, &CacheBudgetHandle::frames(2), 0).unwrap(),
-        ),
     ];
     for (label, ooc) in flavors {
         assert_eq!(sum_paged(&ooc), expected, "{label} flavor changed data");

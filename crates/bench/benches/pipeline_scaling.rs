@@ -4,8 +4,9 @@
 //! 1/2/4/8 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ifet_core::pipeline::map_frames_with_threads;
+use ifet_core::pipeline::pool_with_threads;
 use ifet_core::prelude::*;
+use ifet_volume::map_frames_windowed;
 use std::hint::black_box;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -36,19 +37,22 @@ fn bench_scaling(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(map_frames_with_threads(&series, threads, |t, frame| {
-                        // Sequential, buffer-reusing inner work so only the
-                        // frame fan-out scales (per-slice classification is
-                        // the UI feedback path and allocates once per slice).
-                        let tn = series.normalized_time(t);
-                        let d = frame.dims();
-                        let mut acc = 0.0f32;
-                        for z in 0..d.nz {
-                            let (_, _, slice) = clf.classify_slice_z(frame, z, tn);
-                            acc += slice.iter().sum::<f32>();
-                        }
-                        acc
-                    }))
+                    let sweep = || {
+                        map_frames_windowed(&series, |_, t, frame| {
+                            // Sequential, buffer-reusing inner work so only the
+                            // frame fan-out scales (per-slice classification is
+                            // the UI feedback path and allocates once per slice).
+                            let tn = series.normalized_time(t);
+                            let d = frame.dims();
+                            let mut acc = 0.0f32;
+                            for z in 0..d.nz {
+                                let (_, _, slice) = clf.classify_slice_z(frame, z, tn);
+                                acc += slice.iter().sum::<f32>();
+                            }
+                            acc
+                        })
+                    };
+                    black_box(pool_with_threads(threads).install(sweep).unwrap())
                 })
             },
         );

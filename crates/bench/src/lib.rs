@@ -5,6 +5,8 @@
 //! with `cargo run --release -p ifet-bench --bin <name>`. Timing rows come
 //! from the Criterion benches in `benches/`.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 /// Time a closure, returning `(result, seconds)`.

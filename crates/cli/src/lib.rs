@@ -22,6 +22,8 @@
 //! span tree), `--profile` (per-stage table on stderr), and
 //! `--trace-mode full|stable` — see [`run`].
 
+#![forbid(unsafe_code)]
+
 use ifet_core::obs;
 use ifet_core::prelude::*;
 use ifet_sim::flows::{flow_series, FlowKind};
@@ -38,10 +40,60 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Options that take no value; `--profile` alone means "print the profile",
-/// `--compress` selects bricked compressed frame output, `--mmap` pages
-/// raw frames by zero-copy file mapping, and `--adaptive` asks
-/// `client render-slice` for IATF-modulated opacity.
-const BOOL_FLAGS: &[&str] = &["profile", "compress", "mmap", "adaptive", "seed-from-track"];
+/// `--compress` selects bricked compressed frame output, and `--adaptive`
+/// asks `client render-slice` for IATF-modulated opacity.
+const BOOL_FLAGS: &[&str] = &["profile", "compress", "adaptive", "seed-from-track"];
+
+/// Every valued option some subcommand reads. Any other `--name` is
+/// rejected, so a typo cannot silently take the next token as its value.
+const VALUE_OPTIONS: &[&str] = &[
+    "artifact",
+    "axis",
+    "band",
+    "batch",
+    "clf-epochs",
+    "clf-hidden",
+    "data",
+    "dataspace-tau",
+    "depth",
+    "dims",
+    "epochs",
+    "flow",
+    "frames",
+    "hidden",
+    "iatf",
+    "k",
+    "key",
+    "max",
+    "max-inflight",
+    "max-requests",
+    "ooc-cache",
+    "ooc-cache-bytes",
+    "out",
+    "paint",
+    "paint-seed",
+    "prefetch",
+    "requests",
+    "rk4-dt",
+    "rounds",
+    "seed",
+    "seed-grid",
+    "session",
+    "size",
+    "socket",
+    "step",
+    "stride",
+    "surrogate-epochs",
+    "surrogate-hidden",
+    "tau",
+    "tenant",
+    "tenant-quota-bytes",
+    "threads",
+    "trace",
+    "trace-mode",
+    "track-seed",
+    "workers",
+];
 
 /// Parsed command line: subcommand, positional args, `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +104,8 @@ pub struct Args {
 }
 
 /// Parse raw arguments (after the binary name). `--flag v` options may
-/// repeat; repeated values accumulate.
+/// repeat; repeated values accumulate. An option outside [`BOOL_FLAGS`] and
+/// [`VALUE_OPTIONS`] is an error.
 pub fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut it = raw.iter().peekable();
     let command = it.next().ok_or("missing subcommand")?.clone();
@@ -62,10 +115,12 @@ pub fn parse_args(raw: &[String]) -> Result<Args, String> {
         if let Some(name) = a.strip_prefix("--") {
             let value = if BOOL_FLAGS.contains(&name) {
                 "true".to_string()
-            } else {
+            } else if VALUE_OPTIONS.contains(&name) {
                 it.next()
                     .ok_or_else(|| format!("option --{name} needs a value"))?
                     .clone()
+            } else {
+                return Err(format!("unknown option --{name}"));
             };
             options.entry(name.to_string()).or_default().push(value);
         } else {
@@ -196,16 +251,13 @@ fn load_series(dir: &str) -> Result<TimeSeries, String> {
 struct OocOpts {
     budget: CacheBudget,
     prefetch: usize,
-    /// Page raw frames by zero-copy `mmap` instead of copying reads.
-    mmap: bool,
 }
 
 /// Parsed out-of-core paging options: `--ooc-cache N` (frame budget) or
-/// `--ooc-cache-bytes B` (byte budget) select the disk-backed path,
-/// `--prefetch D` adds background read-ahead of up to D frames, and
-/// `--mmap` pages raw frames zero-copy from the OS page cache. The two
-/// budget flags are mutually exclusive, and `--prefetch`/`--mmap` are only
-/// meaningful when one of them is present.
+/// `--ooc-cache-bytes B` (byte budget) select the disk-backed path, and
+/// `--prefetch D` adds background read-ahead of up to D frames. The two
+/// budget flags are mutually exclusive, and `--prefetch` is only meaningful
+/// when one of them is present.
 fn ooc_budget_opt(args: &Args) -> Result<Option<OocOpts>, String> {
     let budget = match (args.opt("ooc-cache"), args.opt("ooc-cache-bytes")) {
         (Some(_), Some(_)) => {
@@ -232,17 +284,14 @@ fn ooc_budget_opt(args: &Args) -> Result<Option<OocOpts>, String> {
         (None, None) => None,
     };
     let prefetch: usize = args.opt_parse("prefetch", 0usize)?;
-    let mmap = args.flag("mmap");
     match budget {
         Some(b) => Ok(Some(OocOpts {
             budget: b,
             prefetch,
-            mmap,
         })),
         None if args.opt("prefetch").is_some() => {
             Err("--prefetch needs --ooc-cache N or --ooc-cache-bytes B".into())
         }
-        None if mmap => Err("--mmap needs --ooc-cache N or --ooc-cache-bytes B".into()),
         None => Ok(None),
     }
 }
@@ -256,13 +305,8 @@ fn batch_opt(args: &Args) -> Result<usize, String> {
 
 /// Open `paths` as one out-of-core series on a budget of its own.
 fn open_ooc(paths: Vec<PathBuf>, opts: OocOpts) -> Result<OutOfCoreSeries, String> {
-    let budget = CacheBudgetHandle::new(opts.budget);
-    let open = if opts.mmap {
-        OutOfCoreSeries::open_mmap(paths, &budget, opts.prefetch)
-    } else {
-        OutOfCoreSeries::open_with(paths, &budget, opts.prefetch)
-    };
-    open.map_err(|e| format!("failed to open out-of-core series: {e}"))
+    OutOfCoreSeries::open_with(paths, &CacheBudgetHandle::new(opts.budget), opts.prefetch)
+        .map_err(|e| format!("failed to open out-of-core series: {e}"))
 }
 
 /// Paging summary appended to a command's output. The high-water marks — the
@@ -278,15 +322,12 @@ fn ooc_summary(series: &OutOfCoreSeries) -> String {
         "volume.ooc.resident_high_water_bytes",
         st.resident_high_water_bytes,
     );
-    let mut head = match series.budget().limit() {
+    let head = match series.budget().limit() {
         CacheBudget::Frames(_) => format!("cache capacity {} frames", series.capacity()),
         CacheBudget::Bytes(b) => {
             format!("cache budget {b} bytes (~{} frames)", series.capacity())
         }
     };
-    if series.is_mmap() {
-        head.push_str(", mmap");
-    }
     let mut out = format!(
         "ooc: {head}, resident high-water {}, \
          hits {}, misses {}, evictions {}, {} bytes paged, \
@@ -1190,9 +1231,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
     use ifet_serve::{serve_unix, ServeConfig, ServeEngine, ServerOpts};
     let socket = args.require("socket")?;
     let (budget, prefetch) = match ooc_budget_opt(args)? {
-        Some(o) if o.mmap => {
-            return Err("serve pages through the shared cache; --mmap is not supported".into())
-        }
         Some(o) => (o.budget, o.prefetch),
         None => (CacheBudget::Frames(8), 0),
     };
@@ -1698,9 +1736,6 @@ out-of-core options (track, trace-particles, session, classify):
   --prefetch D          read up to D upcoming frames in the background while
                         the current window computes; in-flight reads are
                         charged against the cache budget, so the bound holds
-  --mmap                page raw frames by zero-copy mmap (borrowing the OS
-                        page cache) instead of copying reads; results are
-                        byte-identical; refuses compressed .rawz series
 
 compressed frame storage (generate, classify --out):
   --compress            write frames as bricked, CRC-guarded compressed
@@ -2102,32 +2137,49 @@ mod tests {
 
     #[test]
     fn mmap_flag_validation() {
-        let a = parse_args(&argv("track --data d --seed 0,0,0 --band 0:1 --mmap")).unwrap();
-        assert!(run(&a).unwrap_err().contains("needs --ooc-cache"));
+        // The retired flag is an unknown option; it must not swallow the
+        // option after it as its value.
+        for cmd in [
+            "track --data d --seed 0,0,0 --band 0:1 --mmap",
+            "track --data d --seed 0,0,0 --band 0:1 --mmap --ooc-cache 2",
+        ] {
+            assert_eq!(parse_args(&argv(cmd)).unwrap_err(), "unknown option --mmap");
+        }
     }
 
     #[test]
-    fn track_mmap_matches_in_core_and_reports_mode() {
-        let dirs = write_ooc_series("mmap");
-        let track = |extra: &str| {
-            run(&parse_args(&argv(&format!(
-                "track --data {dirs} --seed 3,6,6 --band 0.9:3.0{extra}"
-            )))
-            .unwrap())
-            .unwrap()
-        };
-        let reference = track("");
-        let paged = track(" --ooc-cache 2 --mmap");
-        let (body, summary) = paged
-            .split_once("ooc:")
-            .expect("paged run must append an ooc summary");
-        assert_eq!(body, reference, "mmap output must be byte-identical");
-        assert!(summary.contains("mmap"), "{summary}");
-        std::fs::remove_dir_all(&dirs).ok();
+    fn unknown_options_are_rejected() {
+        let err = parse_args(&argv("track --data d --seed 0,0,0 --band 0:1 --ooc-cach 2"));
+        assert_eq!(err.unwrap_err(), "unknown option --ooc-cach");
+        // Every option a subcommand reads still parses.
+        for name in VALUE_OPTIONS {
+            let a = parse_args(&argv(&format!("track --{name} v"))).unwrap();
+            assert_eq!(a.opt(name), Some("v"));
+        }
+        for name in BOOL_FLAGS {
+            assert!(parse_args(&argv(&format!("track --{name}")))
+                .unwrap()
+                .flag(name));
+        }
+        // The usage text documents exactly the options the parser accepts.
+        let documented: std::collections::BTreeSet<&str> = USAGE
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .filter(|name| !name.is_empty())
+            .collect();
+        let known: std::collections::BTreeSet<&str> =
+            VALUE_OPTIONS.iter().chain(BOOL_FLAGS).copied().collect();
+        assert_eq!(documented, known);
     }
 
     #[test]
-    fn generate_compress_roundtrips_and_mmap_refuses_it() {
+    fn generate_compress_roundtrips() {
         let dir = std::env::temp_dir().join(format!("ifet_cli_gz_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dirs = dir.to_str().unwrap().to_string();
@@ -2169,14 +2221,6 @@ mod tests {
         assert_eq!(track(&z_dir, ""), reference);
         let paged = track(&z_dir, " --ooc-cache 2");
         assert_eq!(paged.split_once("ooc:").unwrap().0, reference);
-        // mmap needs a byte-for-byte voxel image on disk: compressed frames
-        // are refused up front.
-        let err = run(&parse_args(&argv(&format!(
-            "track --data {z_dir} --seed 8,8,8 --band 0.9:3.0 --ooc-cache 2 --mmap"
-        )))
-        .unwrap())
-        .unwrap_err();
-        assert!(err.contains("unsupported dtype"), "{err}");
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2468,8 +2512,6 @@ mod tests {
         assert!(run(&a).unwrap_err().contains("invalid --axis"));
         let a = parse_args(&argv("serve --socket /tmp/x.sock --max-inflight 0")).unwrap();
         assert!(run(&a).unwrap_err().contains("at least 1"));
-        let a = parse_args(&argv("serve --socket /tmp/x.sock --ooc-cache 2 --mmap")).unwrap();
-        assert!(run(&a).unwrap_err().contains("not supported"));
     }
 
     #[test]

@@ -40,6 +40,8 @@
 //! | [`ifet_render`] | software DVR with tracking overlay |
 //! | `ifet_core` | this façade: [`VisSession`], metrics, parallel pipeline |
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod persist;
 pub mod pipeline;

@@ -4,9 +4,9 @@
 //! independent of other time steps, it is feasible and desirable to employ a
 //! large PC cluster to conduct the final feature extraction and rendering
 //! concurrently." On a single machine the same independence lets frames fan
-//! out across a thread pool; the scaling bench measures exactly this.
+//! out across a thread pool ([`ifet_volume::map_frames_windowed`] run inside
+//! one of the cached pools below); the scaling bench measures exactly this.
 
-use ifet_volume::{map_frames_windowed, FrameSource, ScalarVolume};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -30,37 +30,22 @@ pub fn pool_with_threads(threads: usize) -> Arc<rayon::ThreadPool> {
     }))
 }
 
-/// Apply `f` to every `(step, frame)` of a series in parallel, preserving
-/// order in the output. Frames fan out in residency-bounded windows (one full
-/// parallel pass for in-core sources). Panics if a paged source fails to load
-/// a frame; call [`map_frames_windowed`] to handle that case.
-pub fn map_frames<S, T, F>(series: &S, f: F) -> Vec<T>
-where
-    S: FrameSource + ?Sized,
-    T: Send,
-    F: Fn(u32, &ScalarVolume) -> T + Sync,
-{
-    map_frames_windowed(series, |_i, t, frame| f(t, frame)).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Apply `f` with an explicit thread count (for scaling studies), using the
-/// cached pool for that count; `threads == 0` means rayon's default.
-pub fn map_frames_with_threads<S, T, F>(series: &S, threads: usize, f: F) -> Vec<T>
-where
-    S: FrameSource + ?Sized,
-    T: Send,
-    F: Fn(u32, &ScalarVolume) -> T + Sync + Send,
-{
-    if threads == 0 {
-        return map_frames(series, f);
-    }
-    pool_with_threads(threads).install(|| map_frames(series, f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifet_volume::{Dims3, TimeSeries};
+    use ifet_volume::{map_frames_windowed, Dims3, ScalarVolume, TimeSeries};
+
+    /// The windowed fan-out of `f` over `series` on the cached pool for
+    /// `threads`.
+    fn map_frames_with_threads<T: Send>(
+        series: &TimeSeries,
+        threads: usize,
+        f: impl Fn(u32, &ScalarVolume) -> T + Sync + Send,
+    ) -> Vec<T> {
+        pool_with_threads(threads)
+            .install(|| map_frames_windowed(series, |_, t, frame| f(t, frame)))
+            .unwrap()
+    }
 
     /// Sequential oracle for the parallel fan-out.
     fn map_frames_sequential<T>(
@@ -88,13 +73,16 @@ mod tests {
     fn parallel_matches_sequential() {
         let s = series(6);
         let f = |t: u32, frame: &ScalarVolume| (t, frame.mean());
-        assert_eq!(map_frames(&s, f), map_frames_sequential(&s, f));
+        assert_eq!(
+            map_frames_with_threads(&s, 2, f),
+            map_frames_sequential(&s, f)
+        );
     }
 
     #[test]
     fn order_is_preserved() {
         let s = series(9);
-        let out = map_frames(&s, |t, _| t);
+        let out = map_frames_with_threads(&s, 2, |t, _| t);
         assert_eq!(out, (0..9).collect::<Vec<u32>>());
     }
 

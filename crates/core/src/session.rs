@@ -451,7 +451,7 @@ impl<S: FrameSource> VisSession<S> {
         seeds: &[Seed4],
         tau: f32,
     ) -> Option<Result<TrackResult, SessionError>> {
-        self.adaptive_tfs()?;
+        self.iatf.as_ref()?;
         Some(self.track_spec(&CriterionSpec::AdaptiveTf { tau }, seeds))
     }
 
@@ -499,7 +499,8 @@ impl<S: FrameSource> VisSession<S> {
                 self.series.len(),
             )?)),
             CriterionSpec::AdaptiveTf { tau } => {
-                let tfs = self.adaptive_tfs().ok_or(SessionError::NoIatf)?;
+                let iatf = self.iatf.as_ref().ok_or(SessionError::NoIatf)?;
+                let tfs = map_frames_windowed(&self.series, |_, t, frame| iatf.generate(t, frame))?;
                 Ok(Box::new(AdaptiveTfCriterion::new(tfs, *tau)?))
             }
             CriterionSpec::DataSpace { tau } => {
@@ -783,6 +784,67 @@ mod tests {
         let r = sess.track_fixed(&[(0, x, y, z)], 0.6, 0.75).unwrap();
         assert!(r.masks[0].count() > 0);
         assert_eq!(r.report.voxels_per_frame.len(), 3);
+    }
+
+    /// An in-core series that counts the frames its consumers request.
+    struct Counting {
+        inner: TimeSeries,
+        requests: std::sync::atomic::AtomicUsize,
+    }
+
+    impl FrameSource for Counting {
+        fn dims(&self) -> Dims3 {
+            self.inner.dims()
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn steps(&self) -> &[u32] {
+            self.inner.steps()
+        }
+
+        fn frame(&self, i: usize) -> Result<FrameHandle<'_>, ifet_volume::SeriesError> {
+            self.requests
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            FrameSource::frame(&self.inner, i)
+        }
+    }
+
+    #[test]
+    fn track_adaptive_reads_the_series_once() {
+        let s = series();
+        let mut sess = VisSession::new(Counting {
+            inner: s.clone(),
+            requests: Default::default(),
+        })
+        .unwrap();
+        sess.add_key_frame(0, band_for(&s, 0.0));
+        sess.train_iatf(IatfParams {
+            epochs: 10,
+            ..Default::default()
+        });
+        let d = s.dims();
+        let (x, y, z) = d.coords((0.65 * d.len() as f32) as usize);
+        let seeds = [(0, x, y, z)];
+        let requests = |sess: &VisSession<Counting>| {
+            sess.series()
+                .requests
+                .swap(0, std::sync::atomic::Ordering::Relaxed)
+        };
+        requests(&sess);
+        let adaptive = sess.track_adaptive(&seeds, 0.5).unwrap().unwrap();
+        let via_adaptive = requests(&sess);
+        let spec = sess
+            .track_spec(&CriterionSpec::AdaptiveTf { tau: 0.5 }, &seeds)
+            .unwrap();
+        let via_spec = requests(&sess);
+        assert_eq!(adaptive.masks, spec.masks);
+        assert!(
+            via_adaptive <= via_spec,
+            "track_adaptive requested {via_adaptive} frames, track_spec {via_spec}"
+        );
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! - [`baselines`] — the 1D-transfer-function and repeated-blur baselines the
 //!   paper contrasts in Figure 7.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod classify;
 pub mod features;

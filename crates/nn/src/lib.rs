@@ -20,6 +20,8 @@
 //! trained networks can be shipped to "parallel systems or remote machines
 //! for rendering" (Section 4.2.3).
 
+#![forbid(unsafe_code)]
+
 pub mod activation;
 pub mod introspect;
 pub mod mlp;

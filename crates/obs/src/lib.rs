@@ -35,6 +35,8 @@
 //! [`TRACE_SCHEMA_VERSION`]) with a strict reader that rejects unknown fields,
 //! mirroring the persistence layer's corruption tests.
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;

@@ -12,6 +12,8 @@
 //! - [`Renderer`] — the ray caster,
 //! - [`render_tracking_overlay`] — the Section 5/7 feature-highlight pass.
 
+#![forbid(unsafe_code)]
+
 pub mod camera;
 pub mod image;
 pub mod raycast;

@@ -34,6 +34,8 @@
 //! request arguments through code already pinned bit-identical against
 //! paging, batching, and thread count.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod error;
 pub mod protocol;

@@ -3,7 +3,7 @@
 //! A velocity series is stored as **three scalar component series** (u, v, w)
 //! over one shared grid and step schedule — the same frame files the rest of
 //! the pipeline streams, so particle tracing inherits every `FrameSource`
-//! flavor (in-core, paged raw/compressed, mmap) without a new storage layer.
+//! flavor (in-core, paged raw or compressed) without a new storage layer.
 //!
 //! Three kinds are provided:
 //! - [`FlowKind::Uniform`] — constant velocity everywhere; closed-form

@@ -21,6 +21,8 @@
 //! - [`turbulent_vortex`](mod@turbulent_vortex) — Figure 9: a moving, deforming, splitting feature,
 //! - [`swirling_flow`](mod@swirling_flow) — Figure 10: solver-generated decaying vortex.
 
+#![forbid(unsafe_code)]
+
 pub mod analytic;
 pub mod combustion_jet;
 pub mod flows;

@@ -10,6 +10,8 @@
 //!   `<data value, cumulative histogram(value), time>` → opacity from a few
 //!   user key-frame TFs, able to emit a concrete 1D TF for *any* time step.
 
+#![forbid(unsafe_code)]
+
 pub mod colormap;
 pub mod iatf;
 pub mod keyframes;

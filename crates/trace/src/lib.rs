@@ -16,6 +16,8 @@
 //! stable obs traces are identical across thread counts, cache budgets, and
 //! storage flavors.
 
+#![forbid(unsafe_code)]
+
 pub mod advect;
 pub mod artifact;
 pub mod surrogate;

@@ -21,6 +21,8 @@
 //! - [`tracks`] — persistent tracks built from the events (lifetimes, fates,
 //!   attribute curves).
 
+#![forbid(unsafe_code)]
+
 pub mod attributes;
 pub mod components;
 pub mod criterion;

@@ -54,6 +54,19 @@ pub enum IoError {
     UnsupportedDtype(String),
     /// A compressed frame failed to decode (corruption or truncation).
     Codec(codec::CodecError),
+    /// A series was asked for with no frame files.
+    NoFrames,
+    /// Frame `path` has a different grid from the series' first frame.
+    DimsMismatch {
+        path: PathBuf,
+        expected: Dims3,
+        got: Dims3,
+    },
+    /// Frame `path` carries a step label another frame of the series has.
+    DuplicateStep {
+        path: PathBuf,
+        step: u32,
+    },
 }
 
 impl std::fmt::Display for IoError {
@@ -66,6 +79,21 @@ impl std::fmt::Display for IoError {
             }
             IoError::UnsupportedDtype(d) => write!(f, "unsupported dtype {d:?}"),
             IoError::Codec(e) => write!(f, "compressed frame error: {e}"),
+            IoError::NoFrames => write!(f, "no frame files in series"),
+            IoError::DimsMismatch {
+                path,
+                expected,
+                got,
+            } => write!(
+                f,
+                "frame {}: dims {got} differ from the series' {expected}",
+                path.display()
+            ),
+            IoError::DuplicateStep { path, step } => write!(
+                f,
+                "frame {}: step {step} already labels another frame",
+                path.display()
+            ),
         }
     }
 }
@@ -315,13 +343,47 @@ pub fn frame_paths(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, String> {
 /// [`write_series_with`] (any order; frames are sorted by their sidecar
 /// step labels; raw and compressed frames may mix).
 pub fn read_series(paths: &[PathBuf]) -> Result<TimeSeries, IoError> {
-    let mut frames = Vec::new();
+    let mut frames = Vec::with_capacity(paths.len());
     for p in paths {
         let (vol, meta) = read_frame(p)?;
-        frames.push((meta.step.unwrap_or(frames.len() as u32), vol));
+        frames.push((meta, vol));
     }
-    frames.sort_by_key(|(t, _)| *t);
+    let (_, frames) = in_step_order(paths, frames)?;
     Ok(TimeSeries::from_frames(frames))
+}
+
+/// Put one series' frames in step order: `frames[k]` pairs the sidecar of
+/// `paths[k]` with what was read from it. A frame without a step label is
+/// labelled by its position in `paths`. Every frame must share the first
+/// frame's grid and carry a distinct label; returns that grid and the items
+/// labelled and sorted by step.
+pub(crate) fn in_step_order<T>(
+    paths: &[PathBuf],
+    frames: Vec<(VolumeMeta, T)>,
+) -> Result<(Dims3, Vec<(u32, T)>), IoError> {
+    let dims = frames.first().ok_or(IoError::NoFrames)?.0.dims;
+    let mut labelled = Vec::with_capacity(frames.len());
+    for (k, (meta, item)) in frames.into_iter().enumerate() {
+        if meta.dims != dims {
+            return Err(IoError::DimsMismatch {
+                path: paths[k].clone(),
+                expected: dims,
+                got: meta.dims,
+            });
+        }
+        labelled.push((meta.step.unwrap_or(k as u32), k, item));
+    }
+    labelled.sort_by_key(|&(t, _, _)| t);
+    if let Some(w) = labelled.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(IoError::DuplicateStep {
+            path: paths[w[1].1].clone(),
+            step: w[1].0,
+        });
+    }
+    Ok((
+        dims,
+        labelled.into_iter().map(|(t, _, item)| (t, item)).collect(),
+    ))
 }
 
 #[cfg(test)]
@@ -587,6 +649,57 @@ mod tests {
         assert_eq!(paths.len(), 2);
         let back = read_series(&paths).unwrap();
         assert_eq!(back, s);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Write one raw frame labelled `step` and return its path.
+    fn labelled_frame(dir: &Path, name: &str, dims: Dims3, step: u32) -> PathBuf {
+        let p = dir.join(name);
+        let mut meta = VolumeMeta::new(dims);
+        meta.step = Some(step);
+        write_raw(&p, &ScalarVolume::zeros(dims), &meta).unwrap();
+        p
+    }
+
+    /// The in-core read and the out-of-core open reject a malformed frame
+    /// list with the same typed error, naming the offending file.
+    fn both_readers_reject(paths: &[PathBuf], check: impl Fn(IoError)) {
+        check(read_series(paths).unwrap_err());
+        check(
+            crate::OutOfCoreSeries::open(paths.to_vec(), 2)
+                .err()
+                .unwrap(),
+        );
+    }
+
+    #[test]
+    fn malformed_frame_lists_are_typed_errors() {
+        let dir = tmpdir("malformed");
+        let a = labelled_frame(&dir, "a.raw", Dims3::cube(2), 0);
+        let b = labelled_frame(&dir, "b.raw", Dims3::cube(3), 1);
+        both_readers_reject(&[a.clone(), b.clone()], |e| match e {
+            IoError::DimsMismatch {
+                path,
+                expected,
+                got,
+            } => {
+                assert_eq!(
+                    (path, expected, got),
+                    (b.clone(), Dims3::cube(2), Dims3::cube(3))
+                );
+            }
+            other => panic!("expected DimsMismatch, got {other:?}"),
+        });
+        let c = labelled_frame(&dir, "c.raw", Dims3::cube(2), 4);
+        let d = labelled_frame(&dir, "d.raw", Dims3::cube(2), 0);
+        both_readers_reject(&[a.clone(), c, d.clone()], |e| {
+            assert!(e.to_string().contains("d.raw"), "{e}");
+            match e {
+                IoError::DuplicateStep { path, step } => assert_eq!((path, step), (d.clone(), 0)),
+                other => panic!("expected DuplicateStep, got {other:?}"),
+            }
+        });
+        both_readers_reject(&[], |e| assert!(matches!(e, IoError::NoFrames), "{e:?}"));
         std::fs::remove_dir_all(dir).ok();
     }
 

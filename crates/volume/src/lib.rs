@@ -25,11 +25,13 @@
 //!   baseline in Figure 7),
 //! - raw-binary + JSON-sidecar [`io`], with a bricked, CRC-guarded
 //!   compression [`codec`] (`.rawz` frames, decoded transparently on
-//!   page-in) and zero-copy [`mmapio`] frame mapping for raw frames,
+//!   page-in),
 //! - versioned binary [`maskio`] encoding for masks inside session artifacts.
 //!
 //! Everything is deterministic and `f32`-based; volumes are laid out in
 //! x-fastest (C) order so `idx = x + nx*(y + ny*z)`.
+
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod dims;
@@ -38,7 +40,6 @@ pub mod histogram;
 pub mod io;
 pub mod mask;
 pub mod maskio;
-pub mod mmapio;
 pub mod multivol;
 pub mod ooc;
 pub mod sample;
@@ -54,7 +55,6 @@ pub use dims::{Dims3, Ix3};
 pub use histogram::{CumulativeHistogram, Histogram};
 pub use mask::{Mask3, MaskWordsError};
 pub use maskio::{decode_mask, encode_mask, encode_mask_into, MaskIoError};
-pub use mmapio::{map_frame, Mapping};
 pub use multivol::{MultiSeries, MultiVolume};
 pub use ooc::{
     BudgetStats, CacheBudget, CacheBudgetHandle, CacheStats, GroupStats, OutOfCoreSeries,

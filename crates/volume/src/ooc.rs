@@ -674,9 +674,6 @@ struct Inner {
     charges: Vec<u64>,
     /// Largest per-frame charge, for the conservative `capacity()` bound.
     max_charge: u64,
-    /// Page frames in by `mmap` (zero-copy borrow of the OS page cache)
-    /// instead of a copying read. Requires raw `"f32le"` frames.
-    mmap: bool,
     sc: Arc<SeriesCache>,
     budget: CacheBudgetHandle,
     /// Memoized global `(min, max)`: one streaming scan, reused thereafter.
@@ -690,14 +687,10 @@ impl Inner {
         self.charges[i]
     }
 
-    /// The physical page-in of one frame: mapped (zero-copy) or copied, with
-    /// compressed frames decoding on the copy path.
+    /// The physical page-in of one frame: a copying read for raw frames, a
+    /// decode for compressed ones.
     fn read_one(&self, i: usize) -> Result<ScalarVolume, IoError> {
-        if self.mmap {
-            crate::mmapio::map_frame(&self.paths[i])
-        } else {
-            crate::io::read_frame(&self.paths[i]).map(|(v, _)| v)
-        }
+        crate::io::read_frame(&self.paths[i]).map(|(v, _)| v)
     }
 
     /// One logical read with bounded retry; the fault hook (when installed)
@@ -888,7 +881,6 @@ impl OutOfCoreSeries {
             paths,
             budget,
             prefetch,
-            false,
         )
     }
 
@@ -905,61 +897,18 @@ impl OutOfCoreSeries {
         budget: &CacheBudgetHandle,
         prefetch: usize,
     ) -> Result<Self, IoError> {
-        Self::open_opts(paths, budget, prefetch, false)
-    }
-
-    /// [`Self::open_with`] paging by zero-copy `mmap` instead of copying
-    /// reads. Every frame must be raw `"f32le"` (compressed containers have
-    /// no byte-for-byte voxel image on disk to borrow); on targets without
-    /// mmap support the series transparently falls back to copying reads
-    /// with identical results.
-    pub fn open_mmap(
-        paths: Vec<PathBuf>,
-        budget: &CacheBudgetHandle,
-        prefetch: usize,
-    ) -> Result<Self, IoError> {
-        Self::open_opts(paths, budget, prefetch, true)
-    }
-
-    fn open_opts(
-        paths: Vec<PathBuf>,
-        budget: &CacheBudgetHandle,
-        prefetch: usize,
-        mmap: bool,
-    ) -> Result<Self, IoError> {
-        assert!(!paths.is_empty(), "need at least one frame file");
         // Read sidecars only — cheap JSON reads for dims, steps, and dtype.
-        let mut labelled: Vec<(u32, PathBuf)> = Vec::with_capacity(paths.len());
-        let mut dims = None;
-        for (k, p) in paths.iter().enumerate() {
+        let mut metas = Vec::with_capacity(paths.len());
+        for p in &paths {
             let meta = crate::io::read_sidecar(p)?;
-            let raw = meta.dtype == "f32le";
-            let compressed = meta.dtype == crate::codec::DTYPE;
-            if !raw && !compressed {
+            if meta.dtype != "f32le" && meta.dtype != crate::codec::DTYPE {
                 return Err(IoError::UnsupportedDtype(meta.dtype));
             }
-            if mmap && !raw {
-                // Mapping borrows the on-disk bytes as voxels; a compressed
-                // container has no such image, so refuse up front rather
-                // than failing on first access.
-                return Err(IoError::UnsupportedDtype(meta.dtype));
-            }
-            if let Some(d) = dims {
-                assert_eq!(d, meta.dims, "frame dims mismatch in series");
-            } else {
-                dims = Some(meta.dims);
-            }
-            labelled.push((meta.step.unwrap_or(k as u32), p.clone()));
+            metas.push((meta, p.clone()));
         }
-        labelled.sort_by_key(|(t, _)| *t);
-        Self::from_parts(
-            dims.unwrap(),
-            labelled.iter().map(|(t, _)| *t).collect(),
-            labelled.into_iter().map(|(_, p)| p).collect(),
-            budget,
-            prefetch,
-            mmap,
-        )
+        let (dims, labelled) = crate::io::in_step_order(&paths, metas)?;
+        let (steps, paths) = labelled.into_iter().unzip();
+        Self::from_parts(dims, steps, paths, budget, prefetch)
     }
 
     fn from_parts(
@@ -968,7 +917,6 @@ impl OutOfCoreSeries {
         paths: Vec<PathBuf>,
         budget: &CacheBudgetHandle,
         prefetch: usize,
-        mmap: bool,
     ) -> Result<Self, IoError> {
         let mut charges = Vec::with_capacity(paths.len());
         for p in &paths {
@@ -988,7 +936,6 @@ impl OutOfCoreSeries {
                 paths,
                 charges,
                 max_charge,
-                mmap,
                 sc,
                 budget: budget.clone(),
                 range: Mutex::new(None),
@@ -1045,11 +992,6 @@ impl OutOfCoreSeries {
             CacheBudget::Frames(n) => n.max(1),
             CacheBudget::Bytes(b) => ((b / self.inner.max_charge) as usize).max(1),
         }
-    }
-
-    /// Whether frames page in by zero-copy `mmap` on this series.
-    pub fn is_mmap(&self) -> bool {
-        self.inner.mmap
     }
 
     /// The budget handle this series draws on (shared across clones).
@@ -1699,35 +1641,6 @@ mod tests {
         let st = ooc.stats();
         assert!(st.resident > 1);
         assert!(st.resident_high_water_bytes <= FB);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn mmap_series_matches_copied_reads() {
-        let dir = tmpdir("mmap");
-        let s = sample_series();
-        let created = OutOfCoreSeries::create(&dir, "f", &s, 2).unwrap();
-        let budget = CacheBudgetHandle::frames(2);
-        let ooc = OutOfCoreSeries::open_mmap(created.paths().to_vec(), &budget, 0).unwrap();
-        assert!(ooc.is_mmap());
-        assert_eq!(ooc.load_all().unwrap(), s);
-        assert_eq!(
-            ooc.frame(0).unwrap().is_mapped(),
-            crate::mmapio::Mapping::supported()
-        );
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn mmap_rejects_compressed_frames_up_front() {
-        let dir = tmpdir("mmapz");
-        let s = sample_series();
-        let budget = CacheBudgetHandle::frames(2);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
-        assert!(matches!(
-            OutOfCoreSeries::open_mmap(ooc.paths().to_vec(), &budget, 0),
-            Err(IoError::UnsupportedDtype(_))
-        ));
         std::fs::remove_dir_all(dir).ok();
     }
 

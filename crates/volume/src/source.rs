@@ -33,21 +33,11 @@ use std::sync::Arc;
 /// A borrow-agnostic handle to one frame of a [`FrameSource`].
 ///
 /// In-core sources hand out plain borrows; paged sources hand out `Arc`s so
-/// the frame survives eviction while the caller still needs it. A `Mapped`
-/// handle is a `Shared` whose voxels borrow the OS page cache via
-/// [`crate::mmapio`] instead of owning heap memory — same lifetime rules,
-/// zero copies. All three deref to [`ScalarVolume`].
+/// the frame survives eviction while the caller still needs it. Both deref
+/// to [`ScalarVolume`].
 pub enum FrameHandle<'a> {
     Borrowed(&'a ScalarVolume),
     Shared(Arc<ScalarVolume>),
-    Mapped(Arc<ScalarVolume>),
-}
-
-impl FrameHandle<'_> {
-    /// Whether this frame's voxels are a zero-copy file mapping.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, FrameHandle::Mapped(_))
-    }
 }
 
 impl Deref for FrameHandle<'_> {
@@ -57,7 +47,7 @@ impl Deref for FrameHandle<'_> {
     fn deref(&self) -> &ScalarVolume {
         match self {
             FrameHandle::Borrowed(v) => v,
-            FrameHandle::Shared(v) | FrameHandle::Mapped(v) => v,
+            FrameHandle::Shared(v) => v,
         }
     }
 }
@@ -201,12 +191,7 @@ impl FrameSource for OutOfCoreSeries {
                 len: OutOfCoreSeries::len(self),
             });
         }
-        let vol = OutOfCoreSeries::frame(self, i)?;
-        Ok(if vol.is_mapped() {
-            FrameHandle::Mapped(vol)
-        } else {
-            FrameHandle::Shared(vol)
-        })
+        Ok(FrameHandle::Shared(OutOfCoreSeries::frame(self, i)?))
     }
 
     fn residency_bound(&self) -> Option<usize> {

@@ -1,126 +1,13 @@
 //! Dense 3D volumes.
 
 use crate::dims::{Dims3, Ix3};
-use crate::mmapio::Mapping;
 use serde::{Deserialize, Serialize};
-use std::marker::PhantomData;
-use std::sync::Arc;
-
-/// Voxel storage: an owned heap buffer, or a read-only view over a shared
-/// file mapping (see [`crate::mmapio`]). Mapped storage is only ever
-/// constructed for plain-old-data element types (`f32`), checked at the
-/// sole construction site ([`ScalarVolume::from_mapping`]); any request for
-/// mutable access transparently copies to owned storage first.
-enum Store<T> {
-    Owned(Vec<T>),
-    Mapped(MappedStore<T>),
-}
-
-/// A typed view over a whole [`Mapping`]. Alignment and length are
-/// validated at construction; the `Arc` keeps the pages mapped for as long
-/// as any clone of the volume lives.
-struct MappedStore<T> {
-    map: Arc<Mapping>,
-    _t: PhantomData<T>,
-}
-
-impl<T> MappedStore<T> {
-    fn as_slice(&self) -> &[T] {
-        let bytes = self.map.as_bytes();
-        debug_assert_eq!(bytes.len() % std::mem::size_of::<T>(), 0);
-        // Safety: construction checked alignment and size; mapped stores
-        // hold only POD element types, and the mapping is immutable and
-        // outlives `self`.
-        unsafe {
-            std::slice::from_raw_parts(
-                bytes.as_ptr() as *const T,
-                bytes.len() / std::mem::size_of::<T>(),
-            )
-        }
-    }
-}
-
-impl<T> Store<T> {
-    #[inline]
-    fn as_slice(&self) -> &[T] {
-        match self {
-            Store::Owned(v) => v,
-            Store::Mapped(m) => m.as_slice(),
-        }
-    }
-
-    /// Mutable access, copying mapped storage to an owned buffer first
-    /// (copy-on-write: the mapping itself is never written through).
-    fn make_owned(&mut self) -> &mut Vec<T> {
-        if let Store::Mapped(m) = self {
-            let src = m.as_slice();
-            let mut v: Vec<T> = Vec::with_capacity(src.len());
-            // Safety: mapped stores hold only POD elements (construction
-            // invariant), so a bitwise copy is a valid duplication.
-            unsafe {
-                std::ptr::copy_nonoverlapping(src.as_ptr(), v.as_mut_ptr(), src.len());
-                v.set_len(src.len());
-            }
-            *self = Store::Owned(v);
-        }
-        match self {
-            Store::Owned(v) => v,
-            Store::Mapped(_) => unreachable!(),
-        }
-    }
-
-    fn into_vec(mut self) -> Vec<T> {
-        self.make_owned();
-        match self {
-            Store::Owned(v) => v,
-            Store::Mapped(_) => unreachable!(),
-        }
-    }
-}
-
-impl<T: Clone> Clone for Store<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Store::Owned(v) => Store::Owned(v.clone()),
-            // Cloning a mapped volume shares the mapping (cheap); the clone
-            // copies itself to owned storage only if mutated.
-            Store::Mapped(m) => Store::Mapped(MappedStore {
-                map: Arc::clone(&m.map),
-                _t: PhantomData,
-            }),
-        }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Store<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-impl<T: PartialEq> PartialEq for Store<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<T: Serialize> Serialize for Store<T> {
-    fn to_value(&self) -> serde::Value {
-        self.as_slice().to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Store<T> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Vec::<T>::from_value(v).map(Store::Owned)
-    }
-}
 
 /// A dense 3D grid of values laid out x-fastest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Volume<T> {
     dims: Dims3,
-    data: Store<T>,
+    data: Vec<T>,
 }
 
 /// The workhorse scalar field type of the workspace.
@@ -131,7 +18,7 @@ impl<T: Clone> Volume<T> {
     pub fn filled(dims: Dims3, fill: T) -> Self {
         Self {
             dims,
-            data: Store::Owned(vec![fill; dims.len()]),
+            data: vec![fill; dims.len()],
         }
     }
 
@@ -143,10 +30,7 @@ impl<T: Clone> Volume<T> {
             "buffer length {} does not match dims {dims}",
             data.len()
         );
-        Self {
-            dims,
-            data: Store::Owned(data),
-        }
+        Self { dims, data }
     }
 
     /// Build a volume by evaluating `f` at every voxel coordinate.
@@ -159,10 +43,7 @@ impl<T: Clone> Volume<T> {
                 }
             }
         }
-        Self {
-            dims,
-            data: Store::Owned(data),
-        }
+        Self { dims, data }
     }
 }
 
@@ -185,26 +66,18 @@ impl<T> Volume<T> {
     /// Raw slice in linear order.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        self.data.as_slice()
+        &self.data
     }
 
-    /// Mutable raw slice in linear order. A mapped volume copies itself to
-    /// owned storage first (the file mapping is never written through).
+    /// Mutable raw slice in linear order.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.data.make_owned()
+        &mut self.data
     }
 
-    /// Consume into the raw buffer (copying if the storage was mapped).
+    /// Consume into the raw buffer.
     pub fn into_vec(self) -> Vec<T> {
-        self.data.into_vec()
-    }
-
-    /// Whether the voxels live in a shared file mapping rather than an
-    /// owned buffer (see [`crate::mmapio`]).
-    #[inline]
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.data, Store::Mapped(_))
+        self.data
     }
 
     #[inline]
@@ -215,13 +88,13 @@ impl<T> Volume<T> {
     #[inline]
     pub fn get_mut(&mut self, x: usize, y: usize, z: usize) -> &mut T {
         let i = self.dims.index(x, y, z);
-        &mut self.data.make_owned()[i]
+        &mut self.data[i]
     }
 
     #[inline]
     pub fn set(&mut self, x: usize, y: usize, z: usize, v: T) {
         let i = self.dims.index(x, y, z);
-        self.data.make_owned()[i] = v;
+        self.data[i] = v;
     }
 
     /// Value at a signed coordinate, clamped to the boundary (Neumann).
@@ -244,7 +117,7 @@ impl<T> Volume<T> {
     pub fn map<U>(&self, f: impl Fn(&T) -> U) -> Volume<U> {
         Volume {
             dims: self.dims,
-            data: Store::Owned(self.as_slice().iter().map(f).collect()),
+            data: self.data.iter().map(f).collect(),
         }
     }
 }
@@ -268,23 +141,6 @@ impl ScalarVolume {
     /// All-zero scalar volume.
     pub fn zeros(dims: Dims3) -> Self {
         Self::filled(dims, 0.0)
-    }
-
-    /// Build a volume whose voxels are a zero-copy view over a file
-    /// mapping. `None` when the mapping is misaligned for `f32` or its
-    /// byte length does not equal `dims.len() * 4`.
-    pub fn from_mapping(dims: Dims3, map: Arc<Mapping>) -> Option<Self> {
-        let floats = map.as_f32s()?;
-        if floats.len() != dims.len() {
-            return None;
-        }
-        Some(Self {
-            dims,
-            data: Store::Mapped(MappedStore {
-                map,
-                _t: PhantomData,
-            }),
-        })
     }
 
     /// Minimum finite value (NaNs ignored); `None` for all-NaN data.

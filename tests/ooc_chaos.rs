@@ -179,18 +179,13 @@ fn prefetch_under_chaos_respects_byte_budget_and_stats_algebra() {
 
 // ---------------------------------------------------------------------------
 // Storage-flavor chaos: the same hostile schedules against the compressed
-// decode path and the mmap zero-copy path. Faults injected under the retry
-// loop hit whichever read primitive the flavor uses, so delays and transient
-// errors exercise decode-after-read and map-after-open alike — and must
+// decode path. Faults injected under the retry loop hit the decoding read,
+// so delays and transient errors exercise decode-after-read — and must
 // remain invisible except as `read_retries`.
 // ---------------------------------------------------------------------------
 
 fn on_disk_compressed(tag: &str) -> (TimeSeries, Vec<PathBuf>) {
     support::on_disk_as(&format!("ooc_chaos_{tag}z"), "chaos", true)
-}
-
-fn open_mmap(paths: &[PathBuf], budget: CacheBudget, prefetch: usize) -> OutOfCoreSeries {
-    OutOfCoreSeries::open_mmap(paths.to_vec(), &CacheBudgetHandle::new(budget), prefetch).unwrap()
 }
 
 #[test]
@@ -214,35 +209,6 @@ fn chaos_over_compressed_frames_never_changes_outputs_or_traces() {
             assert!(
                 st.read_retries >= 2 * FRAMES as u64,
                 "decode-path faults must surface as retries, got {}",
-                st.read_retries
-            );
-            assert!(st.resident_high_water <= 2);
-        }
-    }
-}
-
-#[test]
-fn chaos_over_mmap_frames_never_changes_outputs_or_traces() {
-    let (s, paths) = on_disk("mmap");
-    let (reference, ref_trace) = tracked(&s);
-    for seed in [5u64, 13, 37] {
-        for prefetch in [0usize, 2] {
-            let ooc = open_mmap(&paths, CacheBudget::Frames(2), prefetch);
-            assert!(ooc.is_mmap());
-            ooc.set_read_fault_hook(Some(chaos_hook(seed, 2)));
-            let (masks, trace) = tracked(&ChaosSource::new(&ooc, seed));
-            assert_eq!(
-                masks, reference,
-                "mmap outputs diverged (seed {seed}, prefetch {prefetch})"
-            );
-            assert_eq!(
-                trace, ref_trace,
-                "mmap stable trace diverged (seed {seed}, prefetch {prefetch})"
-            );
-            let st = ooc.stats();
-            assert!(
-                st.read_retries >= 2 * FRAMES as u64,
-                "mmap-path faults must surface as retries, got {}",
                 st.read_retries
             );
             assert!(st.resident_high_water <= 2);

@@ -9,7 +9,7 @@ use ifet_core::persist::save_session_bytes;
 use ifet_core::prelude::*;
 use ifet_tf::IatfBuilder;
 use ifet_track::FixedBandCriterion;
-use ifet_volume::{CacheBudget, CacheBudgetHandle, FrameSource, Mapping, OutOfCoreSeries};
+use ifet_volume::{CacheBudget, CacheBudgetHandle, FrameSource, OutOfCoreSeries};
 use std::path::PathBuf;
 
 mod support;
@@ -330,42 +330,28 @@ fn session_artifacts_are_identical_across_prefetch_budget_and_threads() {
 
 // ---------------------------------------------------------------------------
 // Storage flavor matrix: the same contract across on-disk formats and read
-// paths. {raw, compressed, mmap} × {frame budget, byte budget} × prefetch
-// {0, 2} at capacities 1, 2, and full — the codec and the zero-copy mapping
-// may change how bytes reach memory, never a single output byte. Compressed
-// series additionally charge the byte budget at *compressed* size, and the
-// byte high-water must stay under the budget in those smaller units.
+// paths. {raw, compressed} × {frame budget, byte budget} × prefetch {0, 2}
+// at capacities 1, 2, and full — the codec may change how bytes reach
+// memory, never a single output byte. Compressed series additionally charge
+// the byte budget at *compressed* size, and the byte high-water must stay
+// under the budget in those smaller units.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Flavor {
     Raw,
     Compressed,
-    Mmap,
 }
 
-const FLAVORS: [Flavor; 3] = [Flavor::Raw, Flavor::Compressed, Flavor::Mmap];
+const FLAVORS: [Flavor; 2] = [Flavor::Raw, Flavor::Compressed];
 
-/// Write the fixture once per (tag, flavor); mmap reads raw files.
+/// Write the fixture once per (tag, flavor).
 fn on_disk_flavor(tag: &str, flavor: Flavor) -> (TimeSeries, Vec<PathBuf>) {
     support::on_disk_as(
         &format!("ooc_eq_{tag}_{flavor:?}"),
         "eq",
         flavor == Flavor::Compressed,
     )
-}
-
-fn open_flavor(
-    paths: &[PathBuf],
-    flavor: Flavor,
-    budget: CacheBudget,
-    prefetch: usize,
-) -> OutOfCoreSeries {
-    let h = CacheBudgetHandle::new(budget);
-    match flavor {
-        Flavor::Mmap => OutOfCoreSeries::open_mmap(paths.to_vec(), &h, prefetch).unwrap(),
-        _ => OutOfCoreSeries::open_with(paths.to_vec(), &h, prefetch).unwrap(),
-    }
 }
 
 /// Budgets for the flavor sweep: the acceptance capacities {1, 2, full}
@@ -394,7 +380,7 @@ fn grow_4d_is_identical_across_storage_flavors() {
     for flavor in FLAVORS {
         let (_, paths) = on_disk_flavor("grow", flavor);
         for (budget, prefetch) in flavor_matrix() {
-            let ooc = open_flavor(&paths, flavor, budget, prefetch);
+            let ooc = open_with(&paths, budget, prefetch);
             let masks = grow_4d(&ooc, &criterion, &seeds).unwrap();
             assert_eq!(
                 masks, reference,
@@ -426,7 +412,7 @@ fn classify_series_is_identical_across_storage_flavors() {
     for flavor in FLAVORS {
         let (_, paths) = on_disk_flavor("classify", flavor);
         for (budget, prefetch) in flavor_matrix() {
-            let ooc = open_flavor(&paths, flavor, budget, prefetch);
+            let ooc = open_with(&paths, budget, prefetch);
             let out = clf.classify_series(&ooc).unwrap();
             assert_eq!(
                 out, reference,
@@ -465,7 +451,7 @@ fn iatf_is_identical_across_storage_flavors() {
     for flavor in FLAVORS {
         let (_, paths) = on_disk_flavor("iatf", flavor);
         for (budget, prefetch) in flavor_matrix() {
-            let ooc = open_flavor(&paths, flavor, budget, prefetch);
+            let ooc = open_with(&paths, budget, prefetch);
             let iatf = build().train(&ooc);
             assert_eq!(
                 serde_json::to_string(&iatf).unwrap(),
@@ -497,7 +483,7 @@ fn session_artifacts_are_identical_across_storage_flavors() {
     for flavor in FLAVORS {
         let (_, paths) = on_disk_flavor("artifact", flavor);
         for (budget, prefetch) in flavor_matrix() {
-            let ooc = open_flavor(&paths, flavor, budget, prefetch);
+            let ooc = open_with(&paths, budget, prefetch);
             let mut sess = VisSession::new(ooc).unwrap();
             assert_eq!(
                 sess.run_track(spec.clone(), &seeds, None).unwrap(),
@@ -510,22 +496,6 @@ fn session_artifacts_are_identical_across_storage_flavors() {
             );
             assert_budget_held(sess.series(), budget);
         }
-    }
-}
-
-#[test]
-fn mmap_series_actually_borrows_when_the_platform_supports_it() {
-    let (s, paths) = on_disk_flavor("borrow", Flavor::Mmap);
-    let ooc = open_flavor(&paths, Flavor::Mmap, CacheBudget::Frames(2), 0);
-    assert!(ooc.is_mmap());
-    for i in 0..s.len() {
-        let h = FrameSource::frame(&ooc, i).unwrap();
-        assert_eq!(
-            h.is_mapped(),
-            Mapping::supported(),
-            "frame {i}: mmap flavor must borrow exactly when the platform can"
-        );
-        assert_eq!(&*h, s.frame(i));
     }
 }
 
@@ -555,7 +525,7 @@ fn compressed_byte_budget_admits_more_frames_than_raw() {
          the charging assertions below would be vacuous"
     );
     let budget = CacheBudget::Bytes(FRAME_BYTES);
-    let ooc = open_flavor(&zpaths, Flavor::Compressed, budget, 0);
+    let ooc = open_with(&zpaths, budget, 0);
     for i in 0..FRAMES {
         FrameSource::frame(&ooc, i).unwrap();
     }
@@ -572,7 +542,7 @@ fn compressed_byte_budget_admits_more_frames_than_raw() {
     );
 
     let (_, rpaths) = on_disk_flavor("charge_raw", Flavor::Raw);
-    let raw = open_flavor(&rpaths, Flavor::Raw, budget, 0);
+    let raw = open_with(&rpaths, budget, 0);
     for i in 0..FRAMES {
         FrameSource::frame(&raw, i).unwrap();
     }
@@ -612,12 +582,12 @@ mod trace {
         for cap in [1usize, 2, FLOW_FRAMES] {
             for flavor in FLAVORS {
                 let paths = match flavor {
+                    Flavor::Raw => &raw_paths,
                     Flavor::Compressed => &z_paths,
-                    _ => &raw_paths,
                 };
                 let comps: Vec<OutOfCoreSeries> = paths
                     .iter()
-                    .map(|p| open_flavor(p, flavor, CacheBudget::Frames(cap), 0))
+                    .map(|p| open_with(p, CacheBudget::Frames(cap), 0))
                     .collect();
                 let got = advect_bytes(&comps[0], &comps[1], &comps[2]);
                 assert_eq!(
@@ -648,7 +618,7 @@ mod trace {
             // And the paged path at the same thread count, with read-ahead.
             let comps: Vec<OutOfCoreSeries> = paths
                 .iter()
-                .map(|p| open_flavor(p, Flavor::Raw, CacheBudget::Frames(2), 2))
+                .map(|p| open_with(p, CacheBudget::Frames(2), 2))
                 .collect();
             let got = pipeline::pool_with_threads(threads)
                 .install(|| advect_bytes(&comps[0], &comps[1], &comps[2]));

@@ -1,6 +1,6 @@
-//! Scratch-buffer reuse in data-space classification: the pooled predictor
-//! (per-thread feature/forward-pass buffers checked out of the classifier's
-//! scratch pool) against the allocation-per-slab baseline it replaced.
+//! Data-space classification of one frame: the batched predictor (x-rows in
+//! fixed-width runs, fresh buffers per z-slab task) against the per-voxel
+//! reference, and whole-series classification.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ifet_core::prelude::*;
@@ -29,46 +29,24 @@ fn bench_classify_scratch(c: &mut Criterion) {
     for &dim in &[16usize, 32] {
         let (data, clf) = trained_classifier(dim);
         let (_, frame) = data.series.iter().next().unwrap();
-        g.bench_with_input(BenchmarkId::new("pooled", dim), &clf, |b, clf| {
+        g.bench_with_input(BenchmarkId::new("batched", dim), &clf, |b, clf| {
             b.iter(|| black_box(clf.classify_frame(frame, 0.0)))
         });
-        g.bench_with_input(BenchmarkId::new("fresh_buffers", dim), &clf, |b, clf| {
+        g.bench_with_input(BenchmarkId::new("per_voxel", dim), &clf, |b, clf| {
             b.iter(|| black_box(clf.classify_frame_uncached(frame, 0.0)))
         });
     }
     g.finish();
 }
 
-/// The batch-width axis of the SoA-batched predictor: width 1 runs the same
-/// code row-by-row, wider batches amortize feature assembly and let the
-/// chunked forward pass autovectorize. Output is bit-identical throughout.
-fn bench_classify_batch_axis(c: &mut Criterion) {
-    let mut g = c.benchmark_group("classify_batch");
-    let (data, clf) = trained_classifier(32);
-    let (_, frame) = data.series.iter().next().unwrap();
-    for &batch in &[1usize, 8, 16, 64] {
-        clf.set_batch(batch);
-        g.bench_with_input(BenchmarkId::new("rows", batch), &batch, |b, _| {
-            b.iter(|| black_box(clf.classify_frame(frame, 0.0)))
-        });
-    }
-    clf.set_batch(0);
-    g.finish();
-}
-
 fn bench_classify_series(c: &mut Criterion) {
     let mut g = c.benchmark_group("classify_series");
     let (data, clf) = trained_classifier(24);
-    g.bench_function("pooled_24c_series", |b| {
+    g.bench_function("series_24c", |b| {
         b.iter(|| black_box(clf.classify_series(&data.series)))
     });
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_classify_scratch,
-    bench_classify_batch_axis,
-    bench_classify_series
-);
+criterion_group!(benches, bench_classify_scratch, bench_classify_series);
 criterion_main!(benches);

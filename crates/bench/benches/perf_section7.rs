@@ -37,7 +37,7 @@ fn bench_iatf_table_gen(c: &mut Criterion) {
 
 fn bench_render(c: &mut Criterion) {
     let (_, session) = setup(64);
-    let tf = session.adaptive_tf_at_step(225).unwrap();
+    let tf = session.adaptive_tf_at_step(225).unwrap().unwrap();
     let mut g = c.benchmark_group("render_dvr");
     g.sample_size(10);
     for &wh in &[128usize, 256] {
@@ -50,7 +50,7 @@ fn bench_render(c: &mut Criterion) {
 
 fn bench_tracking_overlay(c: &mut Criterion) {
     let (_, session) = setup(64);
-    let tf = session.adaptive_tf_at_step(225).unwrap();
+    let tf = session.adaptive_tf_at_step(225).unwrap().unwrap();
     let tracked = session.extract_with_tf(225, &tf, 0.5);
     let mut g = c.benchmark_group("render_tracking_overlay");
     g.sample_size(10);
@@ -75,7 +75,7 @@ fn bench_dataspace_classify(c: &mut Criterion) {
     let mut g = c.benchmark_group("dataspace_classify");
     g.sample_size(10);
     g.bench_function("classify_64c", |b| {
-        b.iter(|| black_box(session.extract_data_space(t, 0.5).unwrap()))
+        b.iter(|| black_box(session.extract_data_space(t, 0.5).unwrap().unwrap()))
     });
     g.finish();
 }

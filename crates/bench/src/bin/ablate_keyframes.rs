@@ -29,7 +29,7 @@ fn evaluate(data: &ifet_sim::LabeledSeries, params: &ShockBubbleParams, key_step
         .iter()
         .enumerate()
         .map(|(i, &t)| {
-            let tf = session.adaptive_tf_at_step(t).unwrap();
+            let tf = session.adaptive_tf_at_step(t).unwrap().unwrap();
             session.extract_with_tf(t, &tf, 0.5).f1(data.truth_frame(i))
         })
         .collect();

@@ -46,7 +46,7 @@ fn main() {
         session
             .train_classifier(spec, ClassifierParams::default())
             .expect("training failed");
-        let (mask, secs) = timed(|| session.extract_data_space(t, 0.5).unwrap());
+        let (mask, secs) = timed(|| session.extract_data_space(t, 0.5).unwrap().unwrap());
         row(&[
             name.to_string(),
             f3(radius as f64),

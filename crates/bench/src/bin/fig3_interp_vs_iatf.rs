@@ -36,7 +36,7 @@ fn main() {
     let truth = data.truth_frame(fi);
 
     let lerp_tf = session.lerp_tf_at_step(t).unwrap();
-    let iatf_tf = session.adaptive_tf_at_step(t).unwrap();
+    let iatf_tf = session.adaptive_tf_at_step(t).unwrap().unwrap();
 
     println!("# Figure 3 — interpolation vs IATF at the intermediate step t={t}\n");
     header(&["method", "precision", "recall", "F1"]);

@@ -55,7 +55,7 @@ fn main() {
     let mut cells = vec!["IATF (ours)".to_string()];
     let mut iatf_f1 = Vec::new();
     for (i, &t) in steps.iter().enumerate() {
-        let tf = session.adaptive_tf_at_step(t).unwrap();
+        let tf = session.adaptive_tf_at_step(t).unwrap().unwrap();
         let mask = session.extract_with_tf(t, &tf, 0.5);
         let f1 = Scores::of(&mask, data.truth_frame(i)).f1;
         iatf_f1.push(f1);

@@ -54,7 +54,7 @@ fn main() {
     let blur_mask = Mask3::threshold(&blurred_vol, thr_blur);
 
     // Ours.
-    let (ours, classify_s) = timed(|| session.extract_data_space(t, 0.5).unwrap());
+    let (ours, classify_s) = timed(|| session.extract_data_space(t, 0.5).unwrap().unwrap());
 
     println!(
         "# Figure 7 — noise removal at t=310 ({} voxels)\n",

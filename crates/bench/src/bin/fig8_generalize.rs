@@ -47,7 +47,7 @@ fn main() {
         let truth = data.truth_frame(i);
         let (thr, _) = baselines::best_threshold_band(frame, truth, 64);
         let band = Mask3::threshold(frame, thr);
-        let ours = session.extract_data_space(t, 0.5).unwrap();
+        let ours = session.extract_data_space(t, 0.5).unwrap().unwrap();
         let mut nb = band.clone();
         nb.subtract(truth);
         let mut no = ours.clone();

@@ -80,7 +80,7 @@ fn main() {
     s2.add_paints(paints).unwrap();
     s2.train_classifier(FeatureSpec::default(), ClassifierParams::default())
         .expect("training failed");
-    let (_, classify_s) = timed(|| s2.extract_data_space(t_mid, 0.5).unwrap());
+    let (_, classify_s) = timed(|| s2.extract_data_space(t_mid, 0.5).unwrap().unwrap());
     row(&[
         format!("data-space classification ({n}^3)"),
         format!("{:.2} s", classify_s),

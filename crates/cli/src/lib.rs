@@ -2,7 +2,7 @@
 //!
 //! Subcommands:
 //! - `generate <dataset> --out DIR [--dims N] [--seed S]` — write one of the
-//!   five synthetic 4D datasets as raw bricks (+ ground-truth sidecars),
+//!   six synthetic 4D datasets as raw bricks (+ ground-truth sidecars),
 //! - `info --data DIR` — inventory a series on disk,
 //! - `train-iatf --data DIR --key T:LO:HI ... --out FILE` — train the
 //!   adaptive transfer function from key-frame value bands,
@@ -296,9 +296,9 @@ fn ooc_budget_opt(args: &Args) -> Result<Option<OocOpts>, String> {
     }
 }
 
-/// `--batch N`: voxel rows per batched classification pass, and samples per
-/// ray-packet when rendering. 0 (the default) = auto. Output is
-/// bit-identical at every width, so this is purely a throughput knob.
+/// `--batch N`: samples per ray packet when rendering. 0 (the default) =
+/// auto. Output is bit-identical at every width, so this is purely a
+/// throughput knob.
 fn batch_opt(args: &Args) -> Result<usize, String> {
     args.opt_parse("batch", 0usize)
 }
@@ -395,7 +395,8 @@ pub fn cmd_generate(args: &Args) -> Result<String, String> {
         "qg-turbulence" => ifet_sim::qg_turbulence(dims, seed),
         other => {
             return Err(format!(
-                "unknown dataset {other:?} (try shock-bubble, combustion-jet, reionization, turbulent-vortex, swirling-flow)"
+                "unknown dataset {other:?} (try shock-bubble, combustion-jet, reionization, \
+                 turbulent-vortex, swirling-flow, qg-turbulence)"
             ))
         }
     };
@@ -556,8 +557,6 @@ fn cmd_track_impl<S: FrameSource>(args: &Args, series: S) -> Result<String, Stri
     } else {
         VisSession::new(series).map_err(|e| e.to_string())?
     };
-    // No-op unless a loaded classifier drives the criterion (--dataspace-tau).
-    session.set_classifier_batch(batch_opt(args)?);
 
     // Per-frame stages (IATF generation, acceptance tables, classification)
     // fan out over frames; `--threads` pins their worker count (0 = default
@@ -981,7 +980,6 @@ fn cmd_session_save<S: FrameSource>(args: &Args, series: S) -> Result<String, St
                 },
             )
             .map_err(|e| format!("classifier training failed: {e}"))?;
-        session.set_classifier_batch(batch_opt(args)?);
         notes.push(format!(
             "trained data-space classifier on {painted} painted voxels across {} frames",
             paint_specs.len()
@@ -1172,7 +1170,6 @@ fn cmd_classify_impl<S: FrameSource>(args: &Args, series: S) -> Result<String, S
     let clf = session.classifier().ok_or(
         "session has no trained classifier (train one with `session save --paint STEP:N`)",
     )?;
-    clf.set_batch(batch_opt(args)?);
     // Both paths stream: certainty frames are summarized (and with `--out`
     // written to disk) as they are produced, never collected into a Vec.
     let (rows, written) = if let Some(outdir) = args.opt("out") {
@@ -1654,7 +1651,7 @@ USAGE:
                   --out FILE
   ifet render --data DIR --step T (--iatf FILE | --band LO:HI) [--size N]
               [--batch N] --out FILE.ppm
-  ifet track --data DIR --seed X,Y,Z [--threads N] [--batch N] [ooc options]
+  ifet track --data DIR --seed X,Y,Z [--threads N] [ooc options]
              (--iatf FILE [--tau V] | --band LO:HI | --session FILE --dataspace-tau V)
   ifet generate-flow <flow> --out DIR [--dims N] [--frames K] [--stride S]
                      [--compress]
@@ -1665,13 +1662,13 @@ USAGE:
                        [--threads N] [ooc options]
   ifet session save --data DIR --out FILE [--key T:LO:HI ...] [--epochs N]
                     [--paint STEP:N ...] [--clf-epochs N] [--clf-hidden N]
-                    [--paint-seed S] [--batch N]
+                    [--paint-seed S]
                     [--seed X,Y,Z (--band LO:HI | --dataspace-tau V | --tau V)]
                     [--rounds N] [ooc options]
   ifet session load --data DIR --session FILE [ooc options]
   ifet session resume --data DIR --session FILE [--out FILE] [ooc options]
   ifet classify --data DIR --session FILE [--tau V] [--out DIR [--compress]]
-                [--batch N] [ooc options]
+                [ooc options]
   ifet suggest-keys --data DIR [--max N]
   ifet serve --socket PATH [--max-inflight N] [--max-requests N] [--workers N]
              [--tenant-quota-bytes B] [ooc options]
@@ -1718,11 +1715,10 @@ particle tracing (generate-flow / trace-particles):
   --threads, cache budgets, and storage flavors; with an ooc budget each
   velocity component pages through its own cache of the requested size.
 
-batched hot paths (render, track, session save, classify):
-  --batch N             rows per batched classification pass, and samples per
-                        ray packet when rendering (0 or omitted = auto).
-                        Output is bit-identical at every width; this is purely
-                        a throughput knob.
+ray packets (render):
+  --batch N             samples per ray packet (0 or omitted = auto). Output
+                        is bit-identical at every width; this is purely a
+                        throughput knob.
 
 out-of-core options (track, trace-particles, session, classify):
   --ooc-cache N         page frames from disk through an N-frame LRU cache
@@ -2268,52 +2264,10 @@ mod tests {
 
     #[test]
     fn batch_flag_validation() {
-        let a = parse_args(&argv("classify --data d --session s --batch nope")).unwrap();
+        let a = parse_args(&argv("render --data d --step 0 --out o --batch nope")).unwrap();
         assert!(batch_opt(&a).unwrap_err().contains("invalid --batch"));
-        let a = parse_args(&argv("classify --data d --session s")).unwrap();
+        let a = parse_args(&argv("render --data d --step 0 --out o")).unwrap();
         assert_eq!(batch_opt(&a).unwrap(), 0, "omitted --batch means auto");
-    }
-
-    #[test]
-    fn classify_batch_axis_is_invariant_in_stable_traces() {
-        let dir = std::env::temp_dir().join(format!("ifet_cli_batch_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dirs = dir.to_str().unwrap().to_string();
-        run(&parse_args(&argv(&format!(
-            "generate shock-bubble --out {dirs} --dims 16 --seed 3"
-        )))
-        .unwrap())
-        .unwrap();
-        let sess = format!("{dirs}/clf.ifet");
-        run(&parse_args(&argv(&format!(
-            "session save --data {dirs} --out {sess} --paint 195:40 --clf-epochs 60"
-        )))
-        .unwrap())
-        .unwrap();
-
-        // Coverage tables AND stable traces must be byte-identical at every
-        // batch width: batching is a throughput knob, not a result knob, and
-        // the batch counters are runtime-only so stable mode drops them.
-        let classify_at = |batch: Option<usize>| -> (String, Vec<u8>) {
-            let tag = batch.map_or("auto".to_string(), |b| b.to_string());
-            let path = format!("{dirs}/ctrace_{tag}.json");
-            let barg = batch.map_or(String::new(), |b| format!(" --batch {b}"));
-            let out = run(&parse_args(&argv(&format!(
-                "classify --data {dirs} --session {sess}{barg} \
-                 --trace {path} --trace-mode stable"
-            )))
-            .unwrap())
-            .unwrap();
-            (out, std::fs::read(&path).unwrap())
-        };
-        let (ref_out, ref_trace) = classify_at(None);
-        assert!(ref_out.contains("mean-certainty"), "{ref_out}");
-        for b in [1usize, 7, 64] {
-            let (out, trace) = classify_at(Some(b));
-            assert_eq!(out, ref_out, "coverage diverged at --batch {b}");
-            assert_eq!(trace, ref_trace, "stable trace diverged at --batch {b}");
-        }
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -2561,6 +2515,24 @@ mod tests {
             "--batch must not change rendered bytes"
         );
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn unknown_dataset_error_names_every_dataset() {
+        let listed: Vec<&str> = USAGE
+            .split("datasets:")
+            .nth(1)
+            .unwrap()
+            .split([',', ' ', '\n'])
+            .filter(|w| !w.is_empty())
+            .collect();
+        assert!(listed.len() >= 6, "{listed:?}");
+        let err =
+            run(&parse_args(&argv("generate no-such-set --out unused")).unwrap()).unwrap_err();
+        assert!(err.contains("unknown dataset"), "{err}");
+        for name in listed {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! // ...and the system learns an adaptive transfer function for every frame.
 //! session.train_iatf(IatfParams { epochs: 150, ..Default::default() });
-//! let tf_for_middle_frame = session.adaptive_tf_at_step(225).unwrap();
+//! let tf_for_middle_frame = session.adaptive_tf_at_step(225).unwrap().unwrap();
 //! assert!(tf_for_middle_frame.table().iter().any(|&o| o > 0.5));
 //! ```
 //!

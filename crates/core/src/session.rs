@@ -139,10 +139,10 @@ impl From<ifet_volume::SeriesError> for SessionError {
 /// Generic over the [`FrameSource`] backing it: `VisSession<TimeSeries>` (the
 /// default) works fully in core; `VisSession<OutOfCoreSeries>` pages frames
 /// through a bounded LRU cache, so the same session API runs on series larger
-/// than memory. Frame access in the `Option`-returning convenience helpers
-/// (`adaptive_tf_at_step`, `render_*`) panics on paging I/O errors — the
-/// `Result`-returning tracking/classification entry points report them as
-/// [`SessionError::Series`].
+/// than memory. Paging I/O errors come back as [`SessionError::Series`];
+/// only `extract_with_tf`, `render_with_tf`, `render_mip` and
+/// `render_tracked`, which return a bare mask or image, panic on them (and
+/// on a step the series does not have).
 #[derive(Debug, Clone)]
 pub struct VisSession<S: FrameSource = TimeSeries> {
     series: S,
@@ -262,41 +262,26 @@ impl<S: FrameSource> VisSession<S> {
         self.iatf.as_ref()
     }
 
-    /// The adaptive TF for a series step (None until `train_iatf` ran).
-    pub fn adaptive_tf_at_step(&self, t: u32) -> Option<TransferFunction1D> {
-        let iatf = self.iatf.as_ref()?;
-        let frame = self
-            .series
-            .frame_at_step(t)
-            .unwrap_or_else(|e| panic!("{e}"))?;
-        Some(iatf.generate(t, &frame))
-    }
-
-    /// [`Self::adaptive_tf_at_step`] for callers that must survive paging
-    /// I/O failures (e.g. a serving layer): transient frame-source errors
-    /// come back as [`SessionError::Series`] instead of panicking.
-    /// `Ok(None)` means no IATF is trained or the step is not in the series.
-    pub fn try_adaptive_tf_at_step(
-        &self,
-        t: u32,
-    ) -> Result<Option<TransferFunction1D>, SessionError> {
+    /// The adaptive TF for a series step. `Ok(None)` means no IATF is
+    /// trained or the step is not in the series; a frame-source failure is
+    /// [`SessionError::Series`].
+    pub fn adaptive_tf_at_step(&self, t: u32) -> Result<Option<TransferFunction1D>, SessionError> {
         let Some(iatf) = self.iatf.as_ref() else {
             return Ok(None);
         };
-        match self.series.frame_at_step(t)? {
-            Some(frame) => Ok(Some(iatf.generate(t, &frame))),
-            None => Ok(None),
-        }
+        let frame = self.series.frame_at_step(t)?;
+        Ok(frame.map(|frame| iatf.generate(t, &frame)))
     }
 
-    /// Adaptive TFs for every frame, in series order. Frames are visited in
-    /// bounded windows so a paged source never exceeds its cache capacity.
-    pub fn adaptive_tfs(&self) -> Option<Vec<TransferFunction1D>> {
-        let iatf = self.iatf.as_ref()?;
-        Some(
-            map_frames_windowed(&self.series, |_, t, frame| iatf.generate(t, frame))
-                .unwrap_or_else(|e| panic!("{e}")),
-        )
+    /// Adaptive TFs for every frame, in series order (`Ok(None)` until an
+    /// IATF is trained). Frames are visited in bounded windows so a paged
+    /// source never exceeds its cache capacity.
+    pub fn adaptive_tfs(&self) -> Result<Option<Vec<TransferFunction1D>>, SessionError> {
+        let Some(iatf) = self.iatf.as_ref() else {
+            return Ok(None);
+        };
+        let tfs = map_frames_windowed(&self.series, |_, t, frame| iatf.generate(t, frame))?;
+        Ok(Some(tfs))
     }
 
     /// The linear-interpolation baseline TF at step `t`: lerp between the
@@ -373,19 +358,6 @@ impl<S: FrameSource> VisSession<S> {
         self.classifier.as_ref()
     }
 
-    /// Set the classifier's scanline batch width (0 = auto); see
-    /// [`DataSpaceClassifier::set_batch`]. Returns false when no classifier
-    /// is trained yet. Output is bit-identical at every width.
-    pub fn set_classifier_batch(&self, rows: usize) -> bool {
-        match &self.classifier {
-            Some(clf) => {
-                clf.set_batch(rows);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Install an externally trained classifier (e.g. a `train_multi` model
     /// over a sibling multivariate series) so it persists with the session.
     pub fn adopt_classifier(&mut self, clf: DataSpaceClassifier) -> &mut Self {
@@ -413,33 +385,15 @@ impl<S: FrameSource> VisSession<S> {
         self
     }
 
-    /// Data-space extraction mask at step `t` (None until trained).
-    pub fn extract_data_space(&self, t: u32, tau: f32) -> Option<Mask3> {
-        let clf = self.classifier.as_ref()?;
-        let frame = self
-            .series
-            .frame_at_step(t)
-            .unwrap_or_else(|e| panic!("{e}"))?;
-        Some(clf.extract_mask(&frame, self.series.normalized_time(t), tau))
-    }
-
-    /// [`Self::extract_data_space`] for callers that must survive paging
-    /// I/O failures (e.g. a serving layer): transient frame-source errors
-    /// come back as [`SessionError::Series`] instead of panicking.
-    /// `Ok(None)` means no classifier is trained or the step is not in the
-    /// series.
-    pub fn try_extract_data_space(&self, t: u32, tau: f32) -> Result<Option<Mask3>, SessionError> {
+    /// Data-space extraction mask at step `t`. `Ok(None)` means no
+    /// classifier is trained or the step is not in the series; a
+    /// frame-source failure is [`SessionError::Series`].
+    pub fn extract_data_space(&self, t: u32, tau: f32) -> Result<Option<Mask3>, SessionError> {
         let Some(clf) = self.classifier.as_ref() else {
             return Ok(None);
         };
-        match self.series.frame_at_step(t)? {
-            Some(frame) => Ok(Some(clf.extract_mask(
-                &frame,
-                self.series.normalized_time(t),
-                tau,
-            ))),
-            None => Ok(None),
-        }
+        let frame = self.series.frame_at_step(t)?;
+        Ok(frame.map(|frame| clf.extract_mask(&frame, self.series.normalized_time(t), tau)))
     }
 
     // ---- Tracking (paper Section 5) ----
@@ -623,12 +577,20 @@ impl<S: FrameSource> VisSession<S> {
             .render(&frame, tf, self.colormap, &self.camera(), w, h)
     }
 
-    /// Render frame `t` with the adaptive TF (None until trained). This is
-    /// the per-frame "recalculate the adaptive transfer function, then
-    /// render" loop of Section 7.
-    pub fn render_adaptive(&self, t: u32, w: usize, h: usize) -> Option<Image> {
-        let tf = self.adaptive_tf_at_step(t)?;
-        Some(self.render_with_tf(t, &tf, w, h))
+    /// Render frame `t` with the adaptive TF (`Ok(None)` until trained or
+    /// when the step is not in the series). This is the per-frame
+    /// "recalculate the adaptive transfer function, then render" loop of
+    /// Section 7.
+    pub fn render_adaptive(
+        &self,
+        t: u32,
+        w: usize,
+        h: usize,
+    ) -> Result<Option<Image>, SessionError> {
+        let Some(tf) = self.adaptive_tf_at_step(t)? else {
+            return Ok(None);
+        };
+        Ok(Some(self.render_with_tf(t, &tf, w, h)))
     }
 
     /// Maximum-intensity projection of frame `t` (quick overview mode).
@@ -639,23 +601,30 @@ impl<S: FrameSource> VisSession<S> {
     }
 
     /// Render frame `t` with opacity taken from the data-space classifier's
-    /// certainty field (None until a classifier is trained) — Section 7's
-    /// "classified result ... used to assign opacity to each voxel".
-    pub fn render_classified(&self, t: u32, w: usize, h: usize) -> Option<Image> {
-        let clf = self.classifier.as_ref()?;
-        let frame = self
-            .series
-            .frame_at_step(t)
-            .unwrap_or_else(|e| panic!("{e}"))?;
+    /// certainty field (`Ok(None)` until a classifier is trained or when the
+    /// step is not in the series) — Section 7's "classified result ... used
+    /// to assign opacity to each voxel".
+    pub fn render_classified(
+        &self,
+        t: u32,
+        w: usize,
+        h: usize,
+    ) -> Result<Option<Image>, SessionError> {
+        let Some(clf) = self.classifier.as_ref() else {
+            return Ok(None);
+        };
+        let Some(frame) = self.series.frame_at_step(t)? else {
+            return Ok(None);
+        };
         let certainty = clf.classify_frame(&frame, self.series.normalized_time(t));
-        Some(self.renderer.render_classified(
+        Ok(Some(self.renderer.render_classified(
             &frame,
             &certainty,
             self.colormap,
             &self.camera(),
             w,
             h,
-        ))
+        )))
     }
 
     /// Render frame `t` with the tracked feature highlighted in red.
@@ -726,7 +695,7 @@ mod tests {
             ..Default::default()
         });
         assert!(sess.iatf().is_some());
-        let tf = sess.adaptive_tf_at_step(10).unwrap();
+        let tf = sess.adaptive_tf_at_step(10).unwrap().unwrap();
         // Band at t=10 should sit near [0.9, 1.05].
         let (blo, bhi) = tf.support(0.5).expect("no band learned");
         assert!((0.5 * (blo + bhi) - 0.975).abs() < 0.12, "[{blo}, {bhi}]");
@@ -856,7 +825,7 @@ mod tests {
             epochs: 50,
             ..Default::default()
         });
-        let img = sess.render_adaptive(0, 16, 16).unwrap();
+        let img = sess.render_adaptive(0, 16, 16).unwrap().unwrap();
         assert_eq!(img.width(), 16);
         let tf = band_for(&s, 0.0);
         let tracked = sess.extract_with_tf(0, &tf, 0.5);
@@ -871,7 +840,7 @@ mod tests {
         let mip = sess.render_mip(0, 16, 16);
         assert_eq!((mip.width(), mip.height()), (16, 16));
         // No classifier yet.
-        assert!(sess.render_classified(0, 8, 8).is_none());
+        assert!(sess.render_classified(0, 8, 8).unwrap().is_none());
         // Paint + train, then the classified path renders.
         let truth = ifet_volume::Mask3::threshold(s.frame(0), 0.6);
         let mut oracle = ifet_extract::PaintOracle::new(1);
@@ -886,7 +855,7 @@ mod tests {
             },
         )
         .unwrap();
-        let img = sess.render_classified(0, 16, 16).unwrap();
+        let img = sess.render_classified(0, 16, 16).unwrap().unwrap();
         assert_eq!(img.width(), 16);
     }
 

@@ -11,8 +11,6 @@ use ifet_volume::{
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The supervised learner behind a classifier. The paper uses a neural
 /// network throughout but reports promising SVM results (Section 8); both
@@ -24,10 +22,15 @@ pub enum LearningEngine {
     SupportVector(Svm),
 }
 
-/// Reusable per-predictor buffers: the feature vector under construction,
-/// the MLP forward-pass scratch, and the batch-row staging buffers. `Scratch`
+/// Scanline run width for every `classify_*` entry point: each x-row is
+/// classified in runs of this many voxels. Output is bit-identical to the
+/// per-voxel path at any width.
+const BATCH_ROWS: usize = 64;
+
+/// Per-predictor buffers: the feature vector under construction, the MLP
+/// forward-pass scratch, and the batch-row staging buffers. `Scratch`
 /// self-sizes on first use, so a default-constructed instance works for
-/// either engine and any batch width.
+/// either engine.
 #[derive(Debug, Default)]
 struct PredictBuffers {
     features: Vec<f32>,
@@ -38,67 +41,14 @@ struct PredictBuffers {
     outs: Vec<f32>,
 }
 
-/// A free-list of [`PredictBuffers`] shared across classification calls.
-///
-/// Every `classify_*` entry point used to allocate fresh scratch per z-slab
-/// (a ROADMAP perf item: allocation churn on large volumes); instead, workers
-/// now check buffers out at slab start and return them on drop, so steady
-/// state holds one buffer set per concurrently-running worker and repeated
-/// classify calls reuse them. The pool is deliberately *not* part of the
-/// classifier's identity: cloning a classifier starts with an empty pool, and
-/// it never appears in serialized form.
-struct ScratchPool {
-    free: Mutex<Vec<PredictBuffers>>,
-}
-
-impl ScratchPool {
-    fn new() -> Self {
-        Self {
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn take(&self) -> PredictBuffers {
-        // Hit/miss split depends on worker scheduling, so these are runtime
-        // counters (stripped from stable traces).
-        match self.free.lock().unwrap().pop() {
-            Some(bufs) => {
-                obs::counter_runtime("scratch_pool_hits", 1);
-                bufs
-            }
-            None => {
-                obs::counter_runtime("scratch_pool_misses", 1);
-                PredictBuffers::default()
-            }
-        }
-    }
-
-    fn put(&self, bufs: PredictBuffers) {
-        self.free.lock().unwrap().push(bufs);
-    }
-}
-
-impl Clone for ScratchPool {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for ScratchPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.free.lock().map(|v| v.len()).unwrap_or(0);
-        write!(f, "ScratchPool({n} free)")
-    }
-}
-
-/// Prediction state checked out of a classifier's scratch pool; returns its
-/// buffers to the pool when dropped.
-struct PooledPredictor<'a> {
+/// A classifier plus fresh prediction buffers, made once per call or per
+/// z-slab task.
+struct Predictor<'a> {
     clf: &'a DataSpaceClassifier,
     bufs: PredictBuffers,
 }
 
-impl PooledPredictor<'_> {
+impl Predictor<'_> {
     #[inline]
     fn predict_engine(engine: &LearningEngine, x: &[f32], scratch: &mut Scratch) -> f32 {
         match engine {
@@ -134,8 +84,8 @@ impl PooledPredictor<'_> {
         for row in rows.chunks_exact_mut(nf) {
             self.clf.normalizer.apply(row);
         }
-        // Fill depth varies with batch width and volume extent, so this is a
-        // runtime counter (stripped from stable traces).
+        // Fill depth varies with the volume's x extent, so this is a runtime
+        // counter (stripped from stable traces).
         obs::counter_runtime("extract.batch.fill", out.len() as u64);
         match &self.clf.engine {
             LearningEngine::NeuralNet(net) => {
@@ -169,18 +119,11 @@ impl PooledPredictor<'_> {
     }
 
     /// Certainties for the `z` slice of a scalar frame (`out` is `nx * ny`),
-    /// each row in runs of `b` voxels.
-    fn predict_slice_into(
-        &mut self,
-        frame: &ScalarVolume,
-        z: usize,
-        tn: f32,
-        b: usize,
-        out: &mut [f32],
-    ) {
+    /// each row in runs of [`BATCH_ROWS`] voxels.
+    fn predict_slice_into(&mut self, frame: &ScalarVolume, z: usize, tn: f32, out: &mut [f32]) {
         for (y, row) in out.chunks_mut(frame.dims().nx).enumerate() {
-            for (ci, chunk) in row.chunks_mut(b).enumerate() {
-                self.predict_run_into(frame, ci * b, y, z, tn, chunk);
+            for (ci, chunk) in row.chunks_mut(BATCH_ROWS).enumerate() {
+                self.predict_run_into(frame, ci * BATCH_ROWS, y, z, tn, chunk);
             }
         }
     }
@@ -210,12 +153,6 @@ impl PooledPredictor<'_> {
     }
 }
 
-impl Drop for PooledPredictor<'_> {
-    fn drop(&mut self) {
-        self.clf.scratch_pool.put(std::mem::take(&mut self.bufs));
-    }
-}
-
 /// Hyper-parameters for the data-space classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClassifierParams {
@@ -240,7 +177,7 @@ impl Default for ClassifierParams {
 }
 
 /// A trained per-voxel classifier: feature vector → certainty in `[0, 1]`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DataSpaceClassifier {
     extractor: FeatureExtractor,
     normalizer: Normalizer,
@@ -249,33 +186,13 @@ pub struct DataSpaceClassifier {
     /// `Some(n)` for a [`Self::train_multi`] model over `n` variables;
     /// `None` for scalar models. Determines the expected feature width.
     multi_vars: Option<usize>,
-    scratch_pool: ScratchPool,
-    /// Scanline batch width for `classify_*`; 0 = auto. Atomic so the knob
-    /// can be set through shared references (sessions hand out
-    /// `Option<&DataSpaceClassifier>`); like the scratch pool it is runtime
-    /// state, not part of the classifier's identity.
-    batch: AtomicUsize,
-}
-
-impl Clone for DataSpaceClassifier {
-    fn clone(&self) -> Self {
-        Self {
-            extractor: self.extractor.clone(),
-            normalizer: self.normalizer.clone(),
-            engine: self.engine.clone(),
-            final_loss: self.final_loss,
-            multi_vars: self.multi_vars,
-            scratch_pool: self.scratch_pool.clone(),
-            batch: AtomicUsize::new(self.batch.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 /// The serializable identity of a trained [`DataSpaceClassifier`]: feature
 /// spec, fitted normalizer, learned engine weights, the recorded training
 /// loss, and (for `train_multi` models) the multivariate width. Everything
 /// needed to rebuild an identical classifier with
-/// [`DataSpaceClassifier::from_snapshot`]; runtime scratch state is excluded.
+/// [`DataSpaceClassifier::from_snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassifierSnapshot {
     pub spec: crate::features::FeatureSpec,
@@ -473,8 +390,6 @@ impl DataSpaceClassifier {
             engine: LearningEngine::NeuralNet(net),
             final_loss,
             multi_vars: None,
-            scratch_pool: ScratchPool::new(),
-            batch: AtomicUsize::new(0),
         })
     }
 
@@ -501,37 +416,14 @@ impl DataSpaceClassifier {
             engine: LearningEngine::SupportVector(svm),
             final_loss,
             multi_vars: None,
-            scratch_pool: ScratchPool::new(),
-            batch: AtomicUsize::new(0),
         })
     }
 
-    /// Check a predictor (feature buffer + forward scratch) out of the pool.
-    fn predictor(&self) -> PooledPredictor<'_> {
-        PooledPredictor {
+    /// A predictor with fresh buffers.
+    fn predictor(&self) -> Predictor<'_> {
+        Predictor {
             clf: self,
-            bufs: self.scratch_pool.take(),
-        }
-    }
-
-    /// Batch width used when [`Self::set_batch`] leaves the knob on auto.
-    pub const AUTO_BATCH: usize = 64;
-
-    /// Set the scanline batch width (voxel rows per batched inference pass)
-    /// used by every `classify_*` entry point. `0` restores auto, currently
-    /// [`Self::AUTO_BATCH`]. Output is bit-identical at every width; the
-    /// knob only trades per-call overhead against buffer footprint. Takes
-    /// `&self` so it can be applied through a session's shared classifier
-    /// reference.
-    pub fn set_batch(&self, rows: usize) {
-        self.batch.store(rows, Ordering::Relaxed);
-    }
-
-    /// Effective scanline batch width (auto resolved).
-    pub fn batch_rows(&self) -> usize {
-        match self.batch.load(Ordering::Relaxed) {
-            0 => Self::AUTO_BATCH,
-            n => n,
+            bufs: PredictBuffers::default(),
         }
     }
 
@@ -592,8 +484,6 @@ impl DataSpaceClassifier {
             engine: snap.engine,
             final_loss: snap.final_loss,
             multi_vars: snap.multi_vars,
-            scratch_pool: ScratchPool::new(),
-            batch: AtomicUsize::new(0),
         })
     }
 
@@ -617,13 +507,11 @@ impl DataSpaceClassifier {
         &self.engine
     }
 
-    /// The neural network, when this classifier uses one.
-    pub fn network(&self) -> &Mlp {
+    /// The neural network, or `None` for an SVM engine.
+    pub fn network(&self) -> Option<&Mlp> {
         match &self.engine {
-            LearningEngine::NeuralNet(net) => net,
-            LearningEngine::SupportVector(_) => {
-                panic!("classifier uses an SVM engine, not a neural network")
-            }
+            LearningEngine::NeuralNet(net) => Some(net),
+            LearningEngine::SupportVector(_) => None,
         }
     }
 
@@ -688,8 +576,6 @@ impl DataSpaceClassifier {
             engine: LearningEngine::NeuralNet(net),
             final_loss,
             multi_vars: Some(mseries.names().len()),
-            scratch_pool: ScratchPool::new(),
-            batch: AtomicUsize::new(0),
         })
     }
 
@@ -698,18 +584,14 @@ impl DataSpaceClassifier {
         let _span = obs::span("extract.classify_frame");
         let d = frame.dims();
         let slab = d.nx * d.ny;
-        let b = self.batch_rows();
         let mut data = vec![0.0f32; d.len()];
         let obs = obs::handle();
         data.par_chunks_mut(slab).enumerate().for_each(|(z, out)| {
-            // Declared first so the merge runs after the predictor returns
-            // its buffers (take/put bracket the pool counters).
             let _obs = obs.enter();
             let mut predictor = self.predictor();
-            for y in 0..d.ny {
-                let row = &mut out[d.nx * y..d.nx * (y + 1)];
-                for (ci, chunk) in row.chunks_mut(b).enumerate() {
-                    predictor.predict_run_multi_at(frame, ci * b, y, z, t_norm, chunk);
+            for (y, row) in out.chunks_mut(d.nx).enumerate() {
+                for (ci, chunk) in row.chunks_mut(BATCH_ROWS).enumerate() {
+                    predictor.predict_run_multi_at(frame, ci * BATCH_ROWS, y, z, t_norm, chunk);
                 }
             }
             obs::counter("voxels_classified", out.len() as u64);
@@ -741,23 +623,20 @@ impl DataSpaceClassifier {
         let _span = obs::span("extract.classify_frame");
         let d = frame.dims();
         let slab = d.nx * d.ny;
-        let b = self.batch_rows();
         let mut data = vec![0.0f32; d.len()];
         let obs = obs::handle();
         data.par_chunks_mut(slab).enumerate().for_each(|(z, out)| {
-            // Declared first so the merge runs after the predictor returns
-            // its buffers (take/put bracket the pool counters).
             let _obs = obs.enter();
-            self.predictor()
-                .predict_slice_into(frame, z, t_norm, b, out);
+            self.predictor().predict_slice_into(frame, z, t_norm, out);
             obs::counter("voxels_classified", out.len() as u64);
         });
         ScalarVolume::from_vec(d, data)
     }
 
-    /// Reference implementation of [`Self::classify_frame`] that builds fresh
-    /// per-slab buffers instead of drawing on the scratch pool. Kept for the
-    /// cached-vs-fresh identity test and the bench axis; not for general use.
+    /// Per-voxel reference implementation of [`Self::classify_frame`]: one
+    /// feature vector and one prediction at a time, no batched runs. Kept as
+    /// the reference the batching tests compare against, and as a bench row;
+    /// not for general use.
     #[doc(hidden)]
     pub fn classify_frame_uncached(&self, frame: &ScalarVolume, t_norm: f32) -> ScalarVolume {
         let d = frame.dims();
@@ -770,8 +649,7 @@ impl DataSpaceClassifier {
                 for x in 0..d.nx {
                     self.extractor.vector_into(frame, x, y, z, t_norm, &mut buf);
                     self.normalizer.apply(&mut buf);
-                    out[x + d.nx * y] =
-                        PooledPredictor::predict_engine(&self.engine, &buf, &mut scratch);
+                    out[x + d.nx * y] = Predictor::predict_engine(&self.engine, &buf, &mut scratch);
                 }
             }
         });
@@ -790,7 +668,7 @@ impl DataSpaceClassifier {
         assert!(k < d.nz);
         let mut out = vec![0.0f32; d.nx * d.ny];
         self.predictor()
-            .predict_slice_into(frame, k, t_norm, self.batch_rows(), &mut out);
+            .predict_slice_into(frame, k, t_norm, &mut out);
         (d.nx, d.ny, out)
     }
 
@@ -808,11 +686,10 @@ impl DataSpaceClassifier {
         // Within a frame we stay sequential: frame-level parallelism
         // already saturates the pool for multi-frame series.
         let d = frame.dims();
-        let b = self.batch_rows();
         let mut predictor = self.predictor();
         let mut data = vec![0.0f32; d.len()];
         for (z, slab) in data.chunks_mut(d.nx * d.ny).enumerate() {
-            predictor.predict_slice_into(frame, z, tn, b, slab);
+            predictor.predict_slice_into(frame, z, tn, slab);
         }
         obs::counter("frames", 1);
         obs::counter("voxels_classified", d.len() as u64);
@@ -1064,8 +941,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn network_accessor_panics_for_svm_engine() {
+    fn network_accessor_is_none_for_svm_engine() {
         let (vol, truth) = size_scene(16);
         let series = TimeSeries::from_frames(vec![(0, vol)]);
         let mut oracle = PaintOracle::new(1);
@@ -1075,7 +951,7 @@ mod tests {
         let clf =
             DataSpaceClassifier::train_svm(fx, &series, &[paints], ifet_nn::SvmParams::default())
                 .unwrap();
-        let _ = clf.network();
+        assert!(clf.network().is_none());
     }
 
     #[test]
@@ -1094,21 +970,15 @@ mod tests {
         let (clf, vol, _, _) = trained_on_scene();
         let d = vol.dims();
         let field = clf.classify_frame(&vol, 0.25);
-        for batch in [0, 7] {
-            clf.set_batch(batch);
-            for k in [0, 10, d.nz - 1] {
-                let (nx, ny, slice) = clf.classify_slice_z(&vol, k, 0.25);
-                assert_eq!((nx, ny), (d.nx, d.ny));
-                let at = d.nx * d.ny * k;
-                let want = &field.as_slice()[at..at + nx * ny];
-                for (i, (a, b)) in slice.iter().zip(want).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "batch {batch}, slice {k}, voxel {i}"
-                    );
-                }
-            }
+        for k in [0, 10, d.nz - 1] {
+            let (nx, ny, slice) = clf.classify_slice_z(&vol, k, 0.25);
+            assert_eq!((nx, ny), (d.nx, d.ny));
+            let at = d.nx * d.ny * k;
+            assert_bits_eq(
+                &slice,
+                &field.as_slice()[at..at + nx * ny],
+                &format!("slice {k}"),
+            );
         }
     }
 
@@ -1153,16 +1023,30 @@ mod tests {
         }
     }
 
+    /// Assert two certainty slices are equal bit for bit.
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: voxel {i}");
+        }
+    }
+
+    /// A frame `nx` voxels wide and a few rows and slices deep, holding a mix
+    /// of values so neighbouring runs see different features.
+    fn strip(nx: usize) -> ScalarVolume {
+        ScalarVolume::from_fn(Dims3::new(nx, 3, 2), |x, y, z| {
+            ((x * 7 + y * 13 + z * 29) % 11) as f32 / 10.0
+        })
+    }
+
     #[test]
-    fn pooled_classify_matches_uncached_exactly() {
-        // The scratch pool is a pure allocation optimization: bit-identical
-        // output to fresh-buffer classification, on both engines, including
-        // repeated calls that hit warm pool entries.
+    fn classify_frame_matches_uncached_on_both_engines() {
+        // Batched runs reproduce the per-voxel reference on both engines,
+        // also on repeated calls.
         let (clf, vol, _, _) = trained_on_scene();
         let fresh = clf.classify_frame_uncached(&vol, 0.0);
-        for _ in 0..3 {
-            let pooled = clf.classify_frame(&vol, 0.0);
-            assert_eq!(pooled.as_slice(), fresh.as_slice());
+        for _ in 0..2 {
+            assert_eq!(clf.classify_frame(&vol, 0.0).as_slice(), fresh.as_slice());
         }
 
         let (vol, truth) = size_scene(16);
@@ -1182,24 +1066,46 @@ mod tests {
 
     #[test]
     fn batched_classify_bit_identical_across_batch_widths() {
-        // classify_frame_uncached is the per-voxel scalar reference; every
-        // batch width (including 1, an odd width, and widths larger than the
-        // x extent) must reproduce it bit for bit.
-        let (clf, vol, _, _) = trained_on_scene();
-        let reference = clf.classify_frame_uncached(&vol, 0.0);
-        for b in [1usize, 7, 16, 64, 101] {
-            clf.set_batch(b);
-            let got = clf.classify_frame(&vol, 0.0);
-            for (a, r) in got.as_slice().iter().zip(reference.as_slice()) {
-                assert_eq!(a.to_bits(), r.to_bits(), "batch width {b}");
+        // Runs are BATCH_ROWS wide, so the x extent sets the run widths a row
+        // splits into: a single voxel, one short run, exactly one full run, a
+        // full run plus a one-voxel tail, two full runs plus a tail. The
+        // frame, series and slice paths must all reproduce the per-voxel
+        // reference bit for bit.
+        let (clf, _, _, _) = trained_on_scene();
+        for nx in [
+            1usize,
+            BATCH_ROWS - 1,
+            BATCH_ROWS,
+            BATCH_ROWS + 1,
+            2 * BATCH_ROWS + 2,
+        ] {
+            let vol = strip(nx);
+            let reference = clf.classify_frame_uncached(&vol, 0.0);
+            let want = reference.as_slice();
+            assert_bits_eq(
+                clf.classify_frame(&vol, 0.0).as_slice(),
+                want,
+                &format!("classify_frame nx {nx}"),
+            );
+            let series = TimeSeries::from_frames(vec![(0, vol.clone())]);
+            let all = clf.classify_series(&series).unwrap();
+            assert_bits_eq(all[0].as_slice(), want, &format!("classify_series nx {nx}"));
+            let slab = nx * 3;
+            for k in 0..2 {
+                let (_, _, slice) = clf.classify_slice_z(&vol, k, 0.0);
+                assert_bits_eq(
+                    &slice,
+                    &want[k * slab..(k + 1) * slab],
+                    &format!("classify_slice_z nx {nx} k {k}"),
+                );
             }
         }
-        clf.set_batch(0);
-        assert_eq!(clf.batch_rows(), DataSpaceClassifier::AUTO_BATCH);
     }
 
     #[test]
     fn batched_multi_classify_invariant_to_batch_width() {
+        // A 70-wide frame splits each row into a full run and a 6-voxel tail;
+        // both must match a per-voxel loop over the same operations.
         let (ms, truth) = joint_scene(24);
         let mut oracle = PaintOracle::new(8);
         oracle.slice_stride = 2;
@@ -1211,16 +1117,31 @@ mod tests {
         });
         let clf = DataSpaceClassifier::train_multi(fx, &ms, &[paints], ClassifierParams::default())
             .unwrap();
-        clf.set_batch(1);
-        let per_voxel = clf.classify_frame_multi(ms.frame(0), 0.0);
-        for b in [3usize, 64] {
-            clf.set_batch(b);
-            assert_eq!(
-                clf.classify_frame_multi(ms.frame(0), 0.0).as_slice(),
-                per_voxel.as_slice(),
-                "batch width {b}"
-            );
+        let d = Dims3::new(70, 3, 2);
+        let mut frame = MultiVolume::new(d);
+        frame.add("a", strip(70));
+        frame.add(
+            "b",
+            ScalarVolume::from_fn(d, |x, y, z| ((x + 2 * y + 3 * z) % 5) as f32 / 4.0),
+        );
+        let net = clf.network().unwrap();
+        let (mut buf, mut scratch) = (Vec::new(), Scratch::default());
+        let mut per_voxel = Vec::with_capacity(d.len());
+        for z in 0..d.nz {
+            for y in 0..d.ny {
+                for x in 0..d.nx {
+                    clf.extractor
+                        .vector_multi_into(&frame, x, y, z, 0.5, &mut buf);
+                    clf.normalizer.apply(&mut buf);
+                    per_voxel.push(net.predict1(&buf, &mut scratch));
+                }
+            }
         }
+        assert_bits_eq(
+            clf.classify_frame_multi(&frame, 0.5).as_slice(),
+            &per_voxel,
+            "classify_frame_multi nx 70",
+        );
     }
 
     #[test]

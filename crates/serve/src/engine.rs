@@ -299,7 +299,7 @@ impl ServeEngine {
                 let _active = GroupActivity::enter(&self.inner.budget, shared.group);
                 let mask = shared
                     .session()
-                    .try_extract_data_space(*step, *tau)
+                    .extract_data_space(*step, *tau)
                     .map_err(session_error)?
                     .ok_or_else(|| classify_refusal(&shared, *step))?;
                 self.note_mlp_job(&shared);
@@ -406,7 +406,7 @@ impl ServeEngine {
             // IATF-generated opacity modulates the slice; generating it is
             // MLP work and runs on this worker like classification does.
             let tf = session
-                .try_adaptive_tf_at_step(step)
+                .adaptive_tf_at_step(step)
                 .map_err(session_error)?
                 .ok_or_else(|| generate_refusal(shared, step))?;
             self.note_mlp_job(shared);
@@ -524,7 +524,7 @@ fn session_error(e: SessionError) -> ServeError {
     }
 }
 
-/// Why `try_extract_data_space` produced no mask: the session has no
+/// Why `extract_data_space` produced no mask: the session has no
 /// classifier, or the step is not in the series.
 fn classify_refusal(shared: &SharedSession, step: u32) -> ServeError {
     if shared.session().classifier().is_none() {
@@ -538,7 +538,7 @@ fn classify_refusal(shared: &SharedSession, step: u32) -> ServeError {
     }
 }
 
-/// Why `try_adaptive_tf_at_step` produced no table: the session has no
+/// Why `adaptive_tf_at_step` produced no table: the session has no
 /// IATF, or the step is not in the series.
 fn generate_refusal(shared: &SharedSession, step: u32) -> ServeError {
     if shared.session().iatf().is_none() {

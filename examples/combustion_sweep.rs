@@ -52,7 +52,7 @@ fn main() {
     }
     print!("{:<18}", "IATF (ours)");
     for (i, &t) in steps.iter().enumerate() {
-        let tf = session.adaptive_tf_at_step(t).unwrap();
+        let tf = session.adaptive_tf_at_step(t).unwrap().unwrap();
         let mask = session.extract_with_tf(t, &tf, 0.5);
         print!("{:>8.3}", Scores::of(&mask, data.truth_frame(i)).f1);
     }

@@ -58,7 +58,10 @@ fn main() {
     session
         .train_classifier(spec, ClassifierParams::default())
         .expect("training failed");
-    let net = session.classifier().unwrap().network();
+    let net = session
+        .classifier()
+        .and_then(|c| c.network())
+        .expect("the session classifier is a neural network");
 
     println!("\ninput importance (connection weights):");
     let names = [
@@ -108,7 +111,7 @@ fn main() {
     )
     .unwrap();
     let tn = series.normalized_time(t_mid);
-    let nn_mask = session.extract_data_space(t_mid, 0.6).unwrap();
+    let nn_mask = session.extract_data_space(t_mid, 0.6).unwrap().unwrap();
     let svm_mask = svm_clf.extract_mask(series.frame(fi), tn, 0.6);
     println!(
         "\nNN  extraction: {}",

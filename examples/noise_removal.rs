@@ -36,7 +36,7 @@ fn main() {
     println!("classifier trained, final loss = {:.5}", clf.final_loss());
 
     // Compare against the conventional baselines.
-    let ours = session.extract_data_space(t, 0.5).unwrap();
+    let ours = session.extract_data_space(t, 0.5).unwrap().unwrap();
     let (thr, _) = baselines::best_threshold_band(frame, truth, 64);
     let band = Mask3::threshold(frame, thr);
     let blurred = baselines::blur_then_band_mask(frame, 1.2, 2, thr, f32::INFINITY);

@@ -42,7 +42,7 @@ fn main() {
     for (i, &t) in data.series.steps().to_vec().iter().enumerate() {
         let truth = data.truth_frame(i);
         let static_mask = session.extract_with_tf(t, &first_tf, 0.5);
-        let adaptive_tf = session.adaptive_tf_at_step(t).unwrap();
+        let adaptive_tf = session.adaptive_tf_at_step(t).unwrap().unwrap();
         let adaptive_mask = session.extract_with_tf(t, &adaptive_tf, 0.5);
         println!(
             "{:<6} {:>12.3} {:>12.3}",
@@ -53,7 +53,7 @@ fn main() {
     }
 
     // 5. Render the middle frame with the adaptive TF.
-    let img = session.render_adaptive(225, 256, 256).unwrap();
+    let img = session.render_adaptive(225, 256, 256).unwrap().unwrap();
     let path = std::env::temp_dir().join("ifet_quickstart.ppm");
     img.save_ppm(&path).expect("failed to write image");
     println!("\nrendered middle frame -> {}", path.display());

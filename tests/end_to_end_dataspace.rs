@@ -37,7 +37,11 @@ fn classifier_beats_best_value_band() {
         let truth = data.truth_frame(fi);
         let (thr, band_f1) = baselines::best_threshold_band(frame, truth, 48);
         let _ = thr;
-        let ours = session.extract_data_space(t, 0.5).unwrap().f1(truth);
+        let ours = session
+            .extract_data_space(t, 0.5)
+            .unwrap()
+            .unwrap()
+            .f1(truth);
         assert!(
             ours > band_f1,
             "t={t}: learned {ours} must beat the best possible 1D band {band_f1}"
@@ -52,7 +56,7 @@ fn generalizes_to_unseen_time_steps() {
     for &t in &[190u32, 250] {
         let fi = data.series.index_of_step(t).unwrap();
         let truth = data.truth_frame(fi);
-        let ours = session.extract_data_space(t, 0.5).unwrap();
+        let ours = session.extract_data_space(t, 0.5).unwrap().unwrap();
         let f1 = ours.f1(truth);
         assert!(
             f1 > 0.8,
@@ -70,7 +74,7 @@ fn suppresses_small_noise_features() {
     let truth = data.truth_frame(fi);
 
     let band = Mask3::threshold(frame, 0.5);
-    let ours = session.extract_data_space(t, 0.5).unwrap();
+    let ours = session.extract_data_space(t, 0.5).unwrap().unwrap();
     let mut band_noise = band;
     band_noise.subtract(truth);
     let mut ours_noise = ours;

@@ -25,7 +25,7 @@ fn iatf_beats_static_tf_on_drifted_frames() {
     for (i, &t) in data.series.steps().to_vec().iter().enumerate().skip(2) {
         let truth = data.truth_frame(i);
         let static_f1 = session.extract_with_tf(t, &first_tf, 0.5).f1(truth);
-        let tf = session.adaptive_tf_at_step(t).unwrap();
+        let tf = session.adaptive_tf_at_step(t).unwrap().unwrap();
         let iatf_f1 = session.extract_with_tf(t, &tf, 0.5).f1(truth);
         assert!(
             iatf_f1 > static_f1 + 0.3,
@@ -54,7 +54,7 @@ fn iatf_beats_lerp_at_unseen_steps() {
         .extract_with_tf(t, &session.lerp_tf_at_step(t).unwrap(), 0.5)
         .f1(truth);
     let iatf_f1 = session
-        .extract_with_tf(t, &session.adaptive_tf_at_step(t).unwrap(), 0.5)
+        .extract_with_tf(t, &session.adaptive_tf_at_step(t).unwrap().unwrap(), 0.5)
         .f1(truth);
     assert!(
         iatf_f1 > lerp_f1 + 0.2,
@@ -77,7 +77,7 @@ fn trained_network_survives_serialization() {
 #[test]
 fn adaptive_render_shows_the_ring() {
     let (_, session) = setup();
-    let img = session.render_adaptive(225, 64, 64).unwrap();
+    let img = session.render_adaptive(225, 64, 64).unwrap().unwrap();
     assert!(
         img.mean_luminance() > 0.01,
         "adaptive render should not be black"
@@ -92,7 +92,7 @@ fn adaptive_render_shows_the_ring() {
 #[test]
 fn adaptive_tfs_cover_every_frame() {
     let (data, session) = setup();
-    let tfs = session.adaptive_tfs().unwrap();
+    let tfs = session.adaptive_tfs().unwrap().unwrap();
     assert_eq!(tfs.len(), data.series.len());
     for tf in &tfs {
         assert!(

@@ -216,7 +216,7 @@ fn suggested_key_frames_train_a_working_iatf() {
     session.train_iatf(IatfParams::default());
     // IATF from suggested keys holds a usable F1 everywhere.
     for (i, &t) in data.series.steps().to_vec().iter().enumerate() {
-        let tf = session.adaptive_tf_at_step(t).unwrap();
+        let tf = session.adaptive_tf_at_step(t).unwrap().unwrap();
         let f1 = session.extract_with_tf(t, &tf, 0.5).f1(data.truth_frame(i));
         assert!(f1 > 0.5, "t={t}: F1 {f1}");
     }
@@ -244,7 +244,7 @@ fn pruned_classifier_network_still_extracts() {
             ClassifierParams::default(),
         )
         .unwrap();
-    let net = session.classifier().unwrap().network();
+    let net = session.classifier().unwrap().network().unwrap();
     let ranked = introspect::rank_inputs(net);
     let (least, _) = *ranked.last().unwrap();
     let smaller = introspect::drop_input(net, least);

@@ -45,7 +45,7 @@ fn training_on_reloaded_series_is_identical() {
             epochs: 100,
             ..Default::default()
         });
-        session.adaptive_tf_at_step(225).unwrap()
+        session.adaptive_tf_at_step(225).unwrap().unwrap()
     };
     assert_eq!(train(&data.series), train(&reloaded));
 }
@@ -63,7 +63,7 @@ fn whole_figure_pipeline_is_deterministic() {
         session
             .train_classifier(FeatureSpec::default(), ClassifierParams::default())
             .unwrap();
-        session.extract_data_space(310, 0.5).unwrap()
+        session.extract_data_space(310, 0.5).unwrap().unwrap()
     };
     assert_eq!(run(), run());
 }
@@ -110,7 +110,10 @@ fn renderer_is_deterministic_across_thread_counts() {
                     "tracked",
                     session.render_tracked(0, &truth, &base, &adaptive, 48, 48),
                 ),
-                ("classified", session.render_classified(0, 48, 48).unwrap()),
+                (
+                    "classified",
+                    session.render_classified(0, 48, 48).unwrap().unwrap(),
+                ),
                 ("mip", session.render_mip(0, 48, 48)),
             ]
         })
@@ -144,9 +147,9 @@ fn session_artifacts_are_byte_identical_across_thread_counts() {
     // The golden determinism property for persistence: run the whole
     // pipeline — IATF training, classifier training, data-space tracking,
     // a paused checkpoint — under thread pools of different sizes, and the
-    // saved artifacts must agree to the byte. Frame-parallel classification,
-    // the per-thread scratch pool, and frontier-parallel growth must all be
-    // invisible in the serialized result.
+    // saved artifacts must agree to the byte. Frame-parallel classification
+    // and frontier-parallel growth must be invisible in the serialized
+    // result.
     let build = |threads: usize| {
         pipeline::pool_with_threads(threads).install(|| {
             let data = ifet_sim::reionization(Dims3::cube(16), 0x15);
@@ -183,7 +186,7 @@ fn session_artifacts_are_byte_identical_across_thread_counts() {
 
             // Seed tracking from the first voxel the classifier accepts, so
             // the data-space criterion grows a real region.
-            let mask = session.extract_data_space(steps[0], 0.5).unwrap();
+            let mask = session.extract_data_space(steps[0], 0.5).unwrap().unwrap();
             let d = data.series.dims();
             let i = (0..d.len())
                 .find(|&i| mask.get_linear(i))
@@ -222,7 +225,7 @@ fn classifier_network_roundtrips_as_json() {
         .train_classifier(FeatureSpec::default(), ClassifierParams::default())
         .unwrap();
 
-    let net = session.classifier().unwrap().network();
+    let net = session.classifier().unwrap().network().unwrap();
     let restored = Mlp::from_json(&net.to_json()).unwrap();
     assert_eq!(*net, restored);
 }

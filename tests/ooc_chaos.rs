@@ -9,8 +9,10 @@
 use ifet_core::obs;
 use ifet_core::prelude::*;
 use ifet_track::FixedBandCriterion;
+use ifet_volume::io::frame_paths;
 use ifet_volume::{
-    CacheBudget, CacheBudgetHandle, FrameHandle, FrameSource, OutOfCoreSeries, SeriesError,
+    CacheBudget, CacheBudgetHandle, FrameHandle, FrameSource, OutOfCoreSeries, ReadFault,
+    SeriesError,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -214,6 +216,31 @@ fn chaos_over_compressed_frames_never_changes_outputs_or_traces() {
             assert!(st.resident_high_water <= 2);
         }
     }
+}
+
+/// A read that keeps failing past the retry budget reaches the session's
+/// single-step queries as a typed `SessionError::Series`, never a panic.
+#[test]
+fn session_queries_report_failed_reads_as_typed_errors() {
+    let fx = support::serve_fixture("chaos_session_err", 0.0);
+    let ooc = open_with(
+        &frame_paths(&fx.data_dir).unwrap(),
+        CacheBudget::Frames(1),
+        0,
+    );
+    let sess = VisSession::load(ooc, &fx.artifact).unwrap();
+    // Make frame 0 the one resident frame, then fail every read after it.
+    sess.series().frame(0).unwrap();
+    sess.series()
+        .set_read_fault_hook(Some(std::sync::Arc::new(|_, _| Some(ReadFault::Error))));
+    let step = support::STEP_STRIDE * 5;
+    let tf = sess.adaptive_tf_at_step(step);
+    assert!(matches!(tf, Err(SessionError::Series { .. })), "{tf:?}");
+    let mask = sess.extract_data_space(step, 0.5);
+    assert!(matches!(mask, Err(SessionError::Series { .. })), "{mask:?}");
+    let img = sess.render_classified(step, 8, 8);
+    assert!(matches!(img, Err(SessionError::Series { .. })), "{img:?}");
+    std::fs::remove_dir_all(&fx.data_dir).ok();
 }
 
 // ---------------------------------------------------------------------------

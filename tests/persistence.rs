@@ -156,7 +156,7 @@ fn reloaded_models_predict_identically() {
     let fresh = load_session_bytes(series.clone(), bytes).unwrap();
     let t = series.steps()[1];
     assert_eq!(loaded.adaptive_tf_at_step(t), fresh.adaptive_tf_at_step(t));
-    assert!(loaded.adaptive_tf_at_step(t).is_some());
+    assert!(loaded.adaptive_tf_at_step(t).unwrap().is_some());
     assert_eq!(
         loaded.extract_data_space(t, 0.5),
         fresh.extract_data_space(t, 0.5)

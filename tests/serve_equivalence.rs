@@ -431,11 +431,7 @@ fn served_responses_match_standalone_session() {
         .body
     {
         ifet_serve::ResponseBody::ClassifyOk { voxels, words } => {
-            let want = fx
-                .session
-                .try_extract_data_space(step, tau)
-                .unwrap()
-                .unwrap();
+            let want = fx.session.extract_data_space(step, tau).unwrap().unwrap();
             assert_eq!(voxels, want.count() as u64);
             assert_eq!(words, want.words().to_vec());
         }

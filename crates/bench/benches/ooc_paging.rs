@@ -4,10 +4,13 @@
 //! Two access patterns are measured over a 64³ × 16 series (the in-core
 //! copy is ~16 MiB, so every configuration fits in RAM and the numbers
 //! isolate paging overhead, not disk bandwidth):
-//! 1. A sequential full sweep (sum every voxel of every frame) — the
-//!    pattern of `classify_series` / IATF generation. Capacity 1 is the
-//!    worst case (every frame is a miss); at full capacity the second and
-//!    later iterations are pure hits.
+//! 1. A sequential full sweep (sum every voxel of every frame). The plain
+//!    frame-by-frame walk is the schedule of `classify_series`, which pages
+//!    one frame at a time and fans each frame's z-slabs across the pool;
+//!    the windowed sweep is the schedule of IATF generation, which fans out
+//!    over the frames of a residency window. Capacity 1 is the worst case
+//!    (every frame is a miss); at full capacity the second and later
+//!    iterations are pure hits.
 //! 2. 4D region growing, whose frontier revisits frames out of order and so
 //!    exercises eviction and re-paging at small capacities.
 //!

@@ -104,6 +104,8 @@ pub enum PersistError {
     Grow(GrowError),
     /// `resume_track` was called but the session holds no checkpoint.
     NoCheckpoint,
+    /// The frame source failed to deliver a frame while saving (paging I/O).
+    Series { reason: String },
 }
 
 impl std::fmt::Display for PersistError {
@@ -167,6 +169,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Snapshot(e) => write!(f, "stored classifier invalid: {e}"),
             PersistError::Grow(e) => write!(f, "stored checkpoint rejected: {e}"),
             PersistError::NoCheckpoint => write!(f, "no tracking checkpoint to resume"),
+            PersistError::Series { reason } => write!(f, "frame source: {reason}"),
         }
     }
 }
@@ -664,9 +667,9 @@ fn decode_checkpoint<S: FrameSource + ?Sized>(
 // ---- Whole-session save / load ----
 
 /// Serialize a session to artifact bytes (the series itself is not stored).
-/// Panics if a paged source cannot read its frames while computing the
-/// global range (the same I/O would already have failed earlier in use).
-pub fn save_session_bytes<S: FrameSource>(sess: &VisSession<S>) -> Vec<u8> {
+/// A paged source that cannot read its frames while computing the global
+/// range is [`PersistError::Series`].
+pub fn save_session_bytes<S: FrameSource>(sess: &VisSession<S>) -> Result<Vec<u8>, PersistError> {
     let _span = obs::span("persist.save");
     let series = sess.series();
     let d = series.dims();
@@ -677,7 +680,9 @@ pub fn save_session_bytes<S: FrameSource>(sess: &VisSession<S>) -> Vec<u8> {
         schema_track: ifet_track::SCHEMA_VERSION,
         dims: (d.nx as u64, d.ny as u64, d.nz as u64),
         steps: series.steps().to_vec(),
-        global_range: series.global_range().unwrap_or_else(|e| panic!("{e}")),
+        global_range: series.global_range().map_err(|e| PersistError::Series {
+            reason: e.to_string(),
+        })?,
         colormap: sess.colormap,
         iatf_params: sess.iatf_params(),
     };
@@ -708,7 +713,7 @@ pub fn save_session_bytes<S: FrameSource>(sess: &VisSession<S>) -> Vec<u8> {
     if let Some(trace) = sess.trace_summary() {
         add_section(&mut w, SEC_TRACE, || trace.as_bytes().to_vec());
     }
-    w.to_bytes()
+    Ok(w.to_bytes())
 }
 
 /// Rebuild a session from artifact bytes against its frame source.
@@ -826,7 +831,7 @@ pub fn load_session_bytes<S: FrameSource>(
 
 /// Write a session artifact to disk.
 pub fn save_session<S: FrameSource>(sess: &VisSession<S>, path: &Path) -> Result<(), PersistError> {
-    Ok(std::fs::write(path, save_session_bytes(sess))?)
+    Ok(std::fs::write(path, save_session_bytes(sess)?)?)
 }
 
 /// Read a session artifact from disk against its frame source.

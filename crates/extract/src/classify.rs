@@ -6,8 +6,7 @@ use ifet_nn::mlp::Scratch;
 use ifet_nn::{Activation, Mlp, Normalizer, Svm, SvmParams, TrainParams, Trainer, TrainingSet};
 use ifet_obs as obs;
 use ifet_volume::{
-    map_frames_windowed, map_frames_windowed_into, FrameSink, FrameSource, Mask3, MultiSeries,
-    MultiVolume, ScalarVolume, SeriesError,
+    FrameSink, FrameSource, Mask3, MultiSeries, MultiVolume, ScalarVolume, SeriesError,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -621,6 +620,13 @@ impl DataSpaceClassifier {
     /// Section 7, here multithreaded).
     pub fn classify_frame(&self, frame: &ScalarVolume, t_norm: f32) -> ScalarVolume {
         let _span = obs::span("extract.classify_frame");
+        self.classify_slabs(frame, t_norm)
+    }
+
+    /// The slab fan-out behind [`Self::classify_frame`] and the series
+    /// entry points: one z-slab per work item, each with its own predictor,
+    /// workers joined to the caller's capture.
+    fn classify_slabs(&self, frame: &ScalarVolume, t_norm: f32) -> ScalarVolume {
         let d = frame.dims();
         let slab = d.nx * d.ny;
         let mut data = vec![0.0f32; d.len()];
@@ -677,29 +683,33 @@ impl DataSpaceClassifier {
         Mask3::threshold(&self.classify_frame(frame, t_norm), tau)
     }
 
-    /// The per-frame body shared by every whole-series classification entry
-    /// point: one certainty volume for a frame at normalized time `tn`, with
-    /// the deterministic `frames` / `voxels_classified` counters. Identical
-    /// regardless of which entry point drives it, so streamed and
-    /// materialized outputs are byte-identical.
-    fn classify_one_frame(&self, frame: &ScalarVolume, tn: f32) -> ScalarVolume {
-        // Within a frame we stay sequential: frame-level parallelism
-        // already saturates the pool for multi-frame series.
-        let d = frame.dims();
-        let mut predictor = self.predictor();
-        let mut data = vec![0.0f32; d.len()];
-        for (z, slab) in data.chunks_mut(d.nx * d.ny).enumerate() {
-            predictor.predict_slice_into(frame, z, tn, slab);
+    /// The series schedule: page frame `i`, hint frame `i + 1` to the
+    /// source, classify the frame's z-slabs across the whole pool, and hand
+    /// the certainty to `emit` before paging the next frame. Fanning out
+    /// over the frames of a residency window instead would make each frame
+    /// wait for its neighbour and leave cores idle on a short window.
+    fn for_each_certainty<S: FrameSource + ?Sized>(
+        &self,
+        series: &S,
+        mut emit: impl FnMut(usize, u32, ScalarVolume) -> Result<(), SeriesError>,
+    ) -> Result<(), SeriesError> {
+        let steps = series.steps();
+        for (i, &t) in steps.iter().enumerate() {
+            let cert = {
+                let frame = series.frame(i)?;
+                if i + 1 < steps.len() {
+                    series.prefetch_hint(&[i + 1]);
+                }
+                self.classify_slabs(&frame, series.normalized_time(t))
+            };
+            obs::counter("frames", 1);
+            emit(i, t, cert)?;
         }
-        obs::counter("frames", 1);
-        obs::counter("voxels_classified", d.len() as u64);
-        ScalarVolume::from_vec(d, data)
+        Ok(())
     }
 
-    /// Classify every frame of a series in parallel over *frames* — the
-    /// paper's Conclusion notes per-time-step independence makes cluster
-    /// fan-out trivial; here frames fan out across the thread pool, in
-    /// residency-bounded windows when the source is paged.
+    /// Classify every frame of a series into certainty volumes, in step
+    /// order, one frame at a time with its z-slabs fanned across the pool.
     pub fn classify_series<S: FrameSource + ?Sized>(
         &self,
         series: &S,
@@ -711,23 +721,28 @@ impl DataSpaceClassifier {
     /// volume as it is produced, so only the mapped results accumulate in
     /// core (a `Mask3` per frame instead of a full `f32` volume, say).
     /// Counters and span match `classify_series` exactly.
-    pub fn classify_series_map<S, T, F>(&self, series: &S, post: F) -> Result<Vec<T>, SeriesError>
+    pub fn classify_series_map<S, T, F>(
+        &self,
+        series: &S,
+        mut post: F,
+    ) -> Result<Vec<T>, SeriesError>
     where
         S: FrameSource + ?Sized,
-        T: Send,
-        F: Fn(usize, u32, ScalarVolume) -> T + Sync,
+        F: FnMut(usize, u32, ScalarVolume) -> T,
     {
         let _span = obs::span("extract.classify_series");
-        map_frames_windowed(series, |i, t, frame| {
-            let tn = series.normalized_time(t);
-            post(i, t, self.classify_one_frame(frame, tn))
-        })
+        let mut out = Vec::with_capacity(series.len());
+        self.for_each_certainty(series, |i, t, cert| {
+            out.push(post(i, t, cert));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    /// Stream whole-series classification into a [`FrameSink`]: certainty
-    /// volumes leave core one residency window at a time instead of
-    /// materializing, so a paged input can be classified to disk with
-    /// bounded memory end to end. Byte-identical to writing
+    /// Stream whole-series classification into a [`FrameSink`]: each
+    /// frame's certainty reaches the sink before the next frame is paged,
+    /// so a paged input is classified to disk holding one input frame and
+    /// one certainty volume. Byte-identical to writing
     /// [`Self::classify_series`]'s output.
     pub fn classify_series_into<S, K>(&self, series: &S, sink: &mut K) -> Result<(), SeriesError>
     where
@@ -735,9 +750,7 @@ impl DataSpaceClassifier {
         K: FrameSink + ?Sized,
     {
         let _span = obs::span("extract.classify_series");
-        map_frames_windowed_into(series, sink, |_i, t, frame| {
-            self.classify_one_frame(frame, series.normalized_time(t))
-        })
+        self.for_each_certainty(series, |_, t, cert| sink.put(t, cert))
     }
 }
 

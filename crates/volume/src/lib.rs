@@ -62,8 +62,6 @@ pub use ooc::{
 };
 pub use series::{SeriesError, TimeSeries};
 pub use sink::{FrameSink, OutOfCoreSink, TimeSeriesSink};
-pub use source::{
-    map_frames_windowed, map_frames_windowed_into, walk_frame_pairs, FrameHandle, FrameSource,
-};
+pub use source::{map_frames_windowed, walk_frame_pairs, FrameHandle, FrameSource};
 pub use vecfield::VectorVolume;
 pub use volume::{ScalarVolume, Volume};

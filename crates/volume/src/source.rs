@@ -300,50 +300,11 @@ where
     T: Send,
     F: Fn(usize, u32, &ScalarVolume) -> T + Sync,
 {
-    let mut out: Vec<T> = Vec::with_capacity(series.len());
-    for_each_window(series, f, |_, results| {
-        out.extend(results);
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-/// [`map_frames_windowed`], but each window's derived frames are streamed
-/// into `sink` (in ascending step order) instead of being collected — so a
-/// whole-series derivation holds at most one window of outputs in core.
-/// Output bytes are identical to materializing via [`map_frames_windowed`]
-/// and writing afterwards, at any window size, thread count, or prefetch
-/// depth.
-pub fn map_frames_windowed_into<S, K, F>(series: &S, sink: &mut K, f: F) -> Result<(), SeriesError>
-where
-    S: FrameSource + ?Sized,
-    K: crate::sink::FrameSink + ?Sized,
-    F: Fn(usize, u32, &ScalarVolume) -> ScalarVolume + Sync,
-{
-    for_each_window(series, f, |start, results| {
-        for (k, vol) in results.into_iter().enumerate() {
-            sink.put(series.steps()[start + k], vol)?;
-        }
-        Ok(())
-    })
-}
-
-/// The walk behind both windowed maps: `emit` gets each window's first
-/// index and its results, in index order.
-fn for_each_window<S, T, F>(
-    series: &S,
-    f: F,
-    mut emit: impl FnMut(usize, Vec<T>) -> Result<(), SeriesError>,
-) -> Result<(), SeriesError>
-where
-    S: FrameSource + ?Sized,
-    T: Send,
-    F: Fn(usize, u32, &ScalarVolume) -> T + Sync,
-{
     let n = series.len();
     let window = series.residency_bound().unwrap_or(n).max(1);
     let steps = series.steps();
     let obs = ifet_obs::handle();
+    let mut out: Vec<T> = Vec::with_capacity(n);
     let mut start = 0;
     while start < n {
         let end = (start + window).min(n);
@@ -362,10 +323,10 @@ where
                 f(start + k, steps[start + k], h)
             })
             .collect();
-        emit(start, results)?;
+        out.extend(results);
         start = end;
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Walk consecutive frame *pairs* of several component series in lockstep
@@ -502,25 +463,6 @@ mod tests {
         let direct: Vec<f32> = (0..s.len()).map(|i| s.frame(i).as_slice()[0]).collect();
         let mapped = map_frames_windowed(&s, |_, _, f| f.as_slice()[0]).unwrap();
         assert_eq!(mapped, direct);
-    }
-
-    #[test]
-    fn windowed_map_into_matches_materialized() {
-        let s = series();
-        let doubled = map_frames_windowed(&s, |_, _, f| {
-            ScalarVolume::from_vec(f.dims(), f.as_slice().iter().map(|v| v * 2.0).collect())
-        })
-        .unwrap();
-        let mut sink = crate::sink::TimeSeriesSink::new();
-        map_frames_windowed_into(&s, &mut sink, |_, _, f| {
-            ScalarVolume::from_vec(f.dims(), f.as_slice().iter().map(|v| v * 2.0).collect())
-        })
-        .unwrap();
-        let streamed = sink.into_series().unwrap();
-        assert_eq!(streamed.steps(), s.steps());
-        for (i, d) in doubled.iter().enumerate() {
-            assert_eq!(streamed.frame(i).as_slice(), d.as_slice());
-        }
     }
 
     #[test]

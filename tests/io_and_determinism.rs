@@ -201,7 +201,7 @@ fn session_artifacts_are_byte_identical_across_thread_counts() {
             // checkpoint in the artifact as well.
             session.run_track(spec, &[(0, x, y, z)], Some(1)).unwrap();
 
-            save_session_bytes(&session)
+            save_session_bytes(&session).unwrap()
         })
     };
 

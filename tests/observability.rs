@@ -68,7 +68,7 @@ fn traced_pipeline(threads: usize) -> obs::Trace {
             session
                 .run_track(CriterionSpec::FixedBand { lo, hi }, &[seed], None)
                 .unwrap();
-            save_session_bytes(&session).len()
+            save_session_bytes(&session).unwrap().len()
         })
     });
     trace
@@ -213,25 +213,25 @@ fn artifact_trace_section_roundtrips_verbatim() {
     let (mut sess, trace) = obs::capture("test.artifact", small_session);
 
     // Without a summary no TRACE section is written at all.
-    let plain = save_session_bytes(&sess);
+    let plain = save_session_bytes(&sess).unwrap();
     let r = ArtifactReader::parse(&plain).unwrap();
     assert!(!r.tags().any(|t| t == "TRACE"));
 
     let summary = trace.to_stable().to_json();
     sess.set_trace_summary(summary.clone()).unwrap();
-    let bytes = save_session_bytes(&sess);
+    let bytes = save_session_bytes(&sess).unwrap();
     let r = ArtifactReader::parse(&bytes).unwrap();
     assert_eq!(r.section("TRACE"), Some(summary.as_bytes()));
 
     // load → the summary comes back verbatim; re-save is byte-identical.
     let loaded = load_session_bytes(sess.series().clone(), &bytes).unwrap();
     assert_eq!(loaded.trace_summary(), Some(summary.as_str()));
-    assert_eq!(save_session_bytes(&loaded), bytes);
+    assert_eq!(save_session_bytes(&loaded).unwrap(), bytes);
 
     // Clearing drops the section again.
     let mut cleared = loaded;
     cleared.clear_trace_summary();
-    assert_eq!(save_session_bytes(&cleared), plain);
+    assert_eq!(save_session_bytes(&cleared).unwrap(), plain);
 
     // Invalid JSON is refused at attach time, so it can never be saved.
     assert!(sess.set_trace_summary("{not json".into()).is_err());
@@ -241,7 +241,7 @@ fn artifact_trace_section_roundtrips_verbatim() {
 fn corrupt_trace_section_fails_loudly_at_load() {
     let (mut sess, trace) = obs::capture("test.corrupt", small_session);
     sess.set_trace_summary(trace.to_stable().to_json()).unwrap();
-    let bytes = save_session_bytes(&sess);
+    let bytes = save_session_bytes(&sess).unwrap();
 
     // Rebuild the artifact with the TRACE payload replaced by garbage (the
     // CRCs are recomputed by the writer, so only the trace itself is bad).
@@ -313,9 +313,9 @@ proptest! {
         let mut sess = VisSession::new(data.series).unwrap();
         sess.adopt_classifier(clf.clone());
 
-        let bytes = save_session_bytes(&sess);
+        let bytes = save_session_bytes(&sess).unwrap();
         let loaded = load_session_bytes(sess.series().clone(), &bytes).unwrap();
-        prop_assert_eq!(save_session_bytes(&loaded), bytes);
+        prop_assert_eq!(save_session_bytes(&loaded).unwrap(), bytes);
 
         let back = loaded.classifier().unwrap();
         prop_assert_eq!(back.multi_vars(), Some(2));

@@ -243,6 +243,24 @@ fn session_queries_report_failed_reads_as_typed_errors() {
     std::fs::remove_dir_all(&fx.data_dir).ok();
 }
 
+/// Saving needs the series' global range, which a fresh paged series must
+/// read every frame for. When every read fails, `save` reports the failed
+/// read as a typed error and writes nothing, never panicking.
+#[test]
+fn session_save_reports_failed_reads_as_typed_errors() {
+    let (_, paths) = on_disk("save_err");
+    let ooc = open_with(&paths, CacheBudget::Frames(1), 0);
+    ooc.set_read_fault_hook(Some(std::sync::Arc::new(|_, _| Some(ReadFault::Error))));
+    let sess = VisSession::new(ooc).unwrap();
+    let out = support::temp_dir("ooc_chaos_save_err_out").join("session.ifet");
+    let saved = sess.save(&out);
+    assert!(
+        matches!(saved, Err(ifet_core::persist::PersistError::Series { .. })),
+        "{saved:?}"
+    );
+    assert!(!out.exists(), "a failed save must write no artifact");
+}
+
 // ---------------------------------------------------------------------------
 // Serve-layer chaos: the same read delays and transient I/O faults, injected
 // under a multi-tenant engine while client threads race. The service contract

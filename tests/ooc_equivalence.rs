@@ -5,12 +5,18 @@
 //! at capacities 1 (worst case: every access may page), 2 (the ISSUE's
 //! bounded-memory target), and full (cache never evicts).
 
+use ifet_core::obs;
 use ifet_core::persist::save_session_bytes;
 use ifet_core::prelude::*;
 use ifet_tf::IatfBuilder;
 use ifet_track::FixedBandCriterion;
-use ifet_volume::{CacheBudget, CacheBudgetHandle, FrameSource, OutOfCoreSeries};
-use std::path::PathBuf;
+use ifet_volume::{
+    CacheBudget, CacheBudgetHandle, FrameHandle, FrameSink, FrameSource, OutOfCoreSeries,
+    OutOfCoreSink, SeriesError, TimeSeriesSink,
+};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 
 mod support;
 use support::{series, FRAMES, FRAME_BYTES};
@@ -93,25 +99,29 @@ fn grow_4d_is_identical_at_every_capacity() {
     }
 }
 
-#[test]
-fn classify_series_is_identical_at_every_capacity() {
-    let (s, paths) = on_disk("classify");
-    // Paint the ball vs background on frame 0 from its ground truth and
-    // train once; the same classifier then runs against every source.
+/// Paint the ball vs background on frame 0 from its ground truth and train
+/// once; the same classifier then runs against every source.
+fn ball_classifier(s: &TimeSeries) -> DataSpaceClassifier {
     let truth = Mask3::threshold(s.frame(0), 1.0);
     let mut oracle = PaintOracle::new(11);
     oracle.slice_stride = 1;
     let paints = vec![oracle.paint_from_truth(0, &truth, 60, 60)];
-    let clf = DataSpaceClassifier::train(
+    DataSpaceClassifier::train(
         FeatureExtractor::new(FeatureSpec::default()),
-        &s,
+        s,
         &paints,
         ClassifierParams {
             epochs: 40,
             ..Default::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn classify_series_is_identical_at_every_capacity() {
+    let (s, paths) = on_disk("classify");
+    let clf = ball_classifier(&s);
     let reference = clf.classify_series(&s).unwrap();
     for cap in capacities() {
         let ooc = OutOfCoreSeries::open(paths.clone(), cap).unwrap();
@@ -174,7 +184,7 @@ fn session_track_artifacts_are_byte_identical() {
         reference.run_track(spec.clone(), &seeds, None).unwrap(),
         TrackStatus::Completed
     );
-    let ref_bytes = save_session_bytes(&reference);
+    let ref_bytes = save_session_bytes(&reference).unwrap();
     for cap in capacities() {
         let ooc = OutOfCoreSeries::open(paths.clone(), cap).unwrap();
         let mut sess = VisSession::new(ooc).unwrap();
@@ -183,7 +193,7 @@ fn session_track_artifacts_are_byte_identical() {
             TrackStatus::Completed
         );
         assert_eq!(
-            save_session_bytes(&sess),
+            save_session_bytes(&sess).unwrap(),
             ref_bytes,
             "artifact bytes diverged at capacity {cap}"
         );
@@ -219,20 +229,7 @@ fn grow_4d_is_identical_across_prefetch_budget_and_threads() {
 #[test]
 fn classify_series_is_identical_across_prefetch_budget_and_threads() {
     let (s, paths) = on_disk("classify_matrix");
-    let truth = Mask3::threshold(s.frame(0), 1.0);
-    let mut oracle = PaintOracle::new(11);
-    oracle.slice_stride = 1;
-    let paints = vec![oracle.paint_from_truth(0, &truth, 60, 60)];
-    let clf = DataSpaceClassifier::train(
-        FeatureExtractor::new(FeatureSpec::default()),
-        &s,
-        &paints,
-        ClassifierParams {
-            epochs: 40,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let clf = ball_classifier(&s);
     let reference = clf.classify_series(&s).unwrap();
     for threads in [1usize, 2, 4] {
         let pool = pipeline::pool_with_threads(threads);
@@ -307,7 +304,7 @@ fn session_artifacts_are_identical_across_prefetch_budget_and_threads() {
         reference.run_track(spec.clone(), &seeds, None).unwrap(),
         TrackStatus::Completed
     );
-    let ref_bytes = save_session_bytes(&reference);
+    let ref_bytes = save_session_bytes(&reference).unwrap();
     for threads in [1usize, 2, 4] {
         let pool = pipeline::pool_with_threads(threads);
         for (budget, prefetch) in budget_matrix() {
@@ -319,7 +316,7 @@ fn session_artifacts_are_identical_across_prefetch_budget_and_threads() {
                 TrackStatus::Completed
             );
             assert_eq!(
-                save_session_bytes(&sess),
+                save_session_bytes(&sess).unwrap(),
                 ref_bytes,
                 "artifact bytes diverged at threads {threads}, {budget:?}, prefetch {prefetch}"
             );
@@ -394,20 +391,7 @@ fn grow_4d_is_identical_across_storage_flavors() {
 #[test]
 fn classify_series_is_identical_across_storage_flavors() {
     let s = series();
-    let truth = Mask3::threshold(s.frame(0), 1.0);
-    let mut oracle = PaintOracle::new(11);
-    oracle.slice_stride = 1;
-    let paints = vec![oracle.paint_from_truth(0, &truth, 60, 60)];
-    let clf = DataSpaceClassifier::train(
-        FeatureExtractor::new(FeatureSpec::default()),
-        &s,
-        &paints,
-        ClassifierParams {
-            epochs: 40,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let clf = ball_classifier(&s);
     let reference = clf.classify_series(&s).unwrap();
     for flavor in FLAVORS {
         let (_, paths) = on_disk_flavor("classify", flavor);
@@ -421,6 +405,189 @@ fn classify_series_is_identical_across_storage_flavors() {
             assert_budget_held(&ooc, budget);
         }
     }
+}
+
+/// Every written file of `dir`, by name, with its bytes.
+fn written_files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn classify_series_into_compressed_sink_is_byte_identical() {
+    let (s, paths) = on_disk_flavor("classify_into", Flavor::Compressed);
+    let clf = ball_classifier(&s);
+    let out = support::temp_dir("ooc_eq_classify_into_out");
+    let ref_dir = out.join("reference");
+    let mut sink = OutOfCoreSink::with_compression(&ref_dir, "certainty", true).unwrap();
+    for (t, cert) in s.steps().iter().zip(clf.classify_series(&s).unwrap()) {
+        sink.put(*t, cert).unwrap();
+    }
+    let reference = written_files(&ref_dir);
+    assert_eq!(
+        reference.len(),
+        2 * FRAMES,
+        "a payload and a sidecar per frame"
+    );
+    for threads in [1usize, 2, 4] {
+        let pool = pipeline::pool_with_threads(threads);
+        for frames in [1usize, 2, 4] {
+            let budget = CacheBudget::Frames(frames);
+            for prefetch in [0usize, 1] {
+                let ooc = open_with(&paths, budget, prefetch);
+                let dir = out.join(format!("t{threads}_f{frames}_p{prefetch}"));
+                let mut sink = OutOfCoreSink::with_compression(&dir, "certainty", true).unwrap();
+                pool.install(|| clf.classify_series_into(&ooc, &mut sink))
+                    .unwrap();
+                assert!(
+                    written_files(&dir) == reference,
+                    "streamed certainty files diverged at threads {threads}, \
+                     {budget:?}, prefetch {prefetch}"
+                );
+                assert_budget_held(&ooc, budget);
+            }
+        }
+    }
+    std::fs::remove_dir_all(&out).ok();
+}
+
+/// One schedule event: a frame paged by the consumer, or a step written.
+#[derive(Debug, PartialEq)]
+enum Event {
+    Page(usize),
+    Put(u32),
+}
+
+/// Forwards to a paged series, logs each demand, and hands out its own copy
+/// of every frame so it can count the frames the consumer still holds.
+struct ScheduleProbe<'a> {
+    inner: &'a OutOfCoreSeries,
+    log: &'a Mutex<Vec<Event>>,
+    handed_out: Mutex<Vec<Weak<ScalarVolume>>>,
+    held_high_water: AtomicUsize,
+}
+
+impl FrameSource for ScheduleProbe<'_> {
+    fn dims(&self) -> Dims3 {
+        FrameSource::dims(self.inner)
+    }
+
+    fn len(&self) -> usize {
+        FrameSource::len(self.inner)
+    }
+
+    fn steps(&self) -> &[u32] {
+        FrameSource::steps(self.inner)
+    }
+
+    fn frame(&self, i: usize) -> Result<FrameHandle<'_>, SeriesError> {
+        let copy = Arc::new((*FrameSource::frame(self.inner, i)?).clone());
+        let mut handed_out = self.handed_out.lock().unwrap();
+        handed_out.retain(|w| w.strong_count() > 0);
+        handed_out.push(Arc::downgrade(&copy));
+        self.held_high_water
+            .fetch_max(handed_out.len(), Ordering::Relaxed);
+        self.log.lock().unwrap().push(Event::Page(i));
+        Ok(FrameHandle::Shared(copy))
+    }
+
+    fn residency_bound(&self) -> Option<usize> {
+        FrameSource::residency_bound(self.inner)
+    }
+
+    fn prefetch_hint(&self, upcoming: &[usize]) {
+        FrameSource::prefetch_hint(self.inner, upcoming)
+    }
+}
+
+/// Logs each step the classifier writes.
+struct LogSink<'a>(&'a Mutex<Vec<Event>>);
+
+impl FrameSink for LogSink<'_> {
+    fn put(&mut self, t: u32, _vol: ScalarVolume) -> Result<(), SeriesError> {
+        self.0.lock().unwrap().push(Event::Put(t));
+        Ok(())
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
+}
+
+/// The frame-at-a-time contract behind `analyze` latency: under a two-frame
+/// budget without read-ahead, each frame misses exactly once and is written
+/// before the next one is paged, and the classifier never holds more than
+/// one input frame.
+#[test]
+fn classify_series_into_pages_one_frame_at_a_time() {
+    let (s, paths) = on_disk("classify_schedule");
+    let clf = ball_classifier(&s);
+    let ooc = open_with(&paths, CacheBudget::Frames(2), 0);
+    let log = Mutex::new(Vec::new());
+    let probe = ScheduleProbe {
+        inner: &ooc,
+        log: &log,
+        handed_out: Default::default(),
+        held_high_water: Default::default(),
+    };
+    clf.classify_series_into(&probe, &mut LogSink(&log))
+        .unwrap();
+    let expect: Vec<Event> = s
+        .steps()
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &t)| [Event::Page(i), Event::Put(t)])
+        .collect();
+    assert_eq!(*log.lock().unwrap(), expect);
+    assert_eq!(
+        probe.held_high_water.load(Ordering::Relaxed),
+        1,
+        "the classifier held more than one input frame at once"
+    );
+    let st = ooc.stats();
+    assert_eq!((st.misses, st.hits), (FRAMES as u64, 0), "{st:?}");
+}
+
+/// Sum of a counter over every span of a trace.
+fn counter_total(span: &obs::Span, name: &str) -> u64 {
+    span.counter(name).unwrap_or(0)
+        + span
+            .children
+            .iter()
+            .map(|c| counter_total(c, name))
+            .sum::<u64>()
+}
+
+/// The slab workers join the caller's capture: the stable trace is the same
+/// at every thread count, and the run-width fill counter, which only the
+/// workers emit, adds up to every voxel of every frame.
+#[test]
+fn classify_series_into_capture_counts_every_worker() {
+    let (s, paths) = on_disk("classify_capture");
+    let clf = ball_classifier(&s);
+    let mut stable = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let ooc = open_with(&paths, CacheBudget::Frames(2), 0);
+        let mut sink = TimeSeriesSink::new();
+        let (r, trace) = pipeline::pool_with_threads(threads)
+            .install(|| obs::capture("classify", || clf.classify_series_into(&ooc, &mut sink)));
+        r.unwrap();
+        assert_eq!(
+            counter_total(&trace.root, "extract.batch.fill"),
+            (FRAMES * s.dims().len()) as u64,
+            "batch fill lost worker counters at threads {threads}"
+        );
+        stable.push(trace.to_stable().to_json_pretty());
+    }
+    assert_eq!(stable[0], stable[1], "stable trace differs at 2 threads");
+    assert_eq!(stable[0], stable[2], "stable trace differs at 4 threads");
 }
 
 #[test]
@@ -479,7 +646,7 @@ fn session_artifacts_are_identical_across_storage_flavors() {
         reference.run_track(spec.clone(), &seeds, None).unwrap(),
         TrackStatus::Completed
     );
-    let ref_bytes = save_session_bytes(&reference);
+    let ref_bytes = save_session_bytes(&reference).unwrap();
     for flavor in FLAVORS {
         let (_, paths) = on_disk_flavor("artifact", flavor);
         for (budget, prefetch) in flavor_matrix() {
@@ -490,7 +657,7 @@ fn session_artifacts_are_identical_across_storage_flavors() {
                 TrackStatus::Completed
             );
             assert_eq!(
-                save_session_bytes(&sess),
+                save_session_bytes(&sess).unwrap(),
                 ref_bytes,
                 "artifact bytes diverged at {flavor:?}, {budget:?}, prefetch {prefetch}"
             );

@@ -99,7 +99,7 @@ fn rich_artifact() -> &'static (TimeSeries, Vec<u8>) {
             .run_track(CriterionSpec::FixedBand { lo, hi }, &[seed], Some(0))
             .unwrap();
         assert!(matches!(status, TrackStatus::Paused { .. }));
-        (data.series.clone(), save_session_bytes(&sess))
+        (data.series.clone(), save_session_bytes(&sess).unwrap())
     })
 }
 
@@ -146,7 +146,7 @@ fn save_load_save_is_byte_identical() {
     assert!(loaded.classifier().is_some());
     assert_eq!(loaded.tracks().len(), 1);
     assert!(loaded.pending_track().is_some());
-    assert_eq!(&save_session_bytes(&loaded), bytes);
+    assert_eq!(&save_session_bytes(&loaded).unwrap(), bytes);
 }
 
 #[test]
@@ -305,7 +305,7 @@ fn unknown_sections_from_the_future_are_skipped() {
     let loaded = load_session_bytes(series.clone(), &future).unwrap();
     // The unknown section is ignored; re-saving reproduces the version-1
     // artifact exactly (the extra section is dropped, nothing else changes).
-    assert_eq!(&save_session_bytes(&loaded), bytes);
+    assert_eq!(&save_session_bytes(&loaded).unwrap(), bytes);
 }
 
 #[test]
@@ -369,14 +369,17 @@ fn resume_after_reload_matches_an_uninterrupted_run() {
         interrupted.run_track(spec, &[seed], Some(0)).unwrap(),
         TrackStatus::Paused { rounds: 0 }
     );
-    let bytes = save_session_bytes(&interrupted);
+    let bytes = save_session_bytes(&interrupted).unwrap();
     let mut reloaded = load_session_bytes(data.series.clone(), &bytes).unwrap();
     let resumed = reloaded.resume_track().unwrap().clone();
 
     assert_eq!(resumed, full.tracks()[0].result);
     assert!(resumed.report.voxels_per_frame.iter().sum::<usize>() > 0);
     // And the two finished sessions serialize byte-identically.
-    assert_eq!(save_session_bytes(&reloaded), save_session_bytes(&full));
+    assert_eq!(
+        save_session_bytes(&reloaded).unwrap(),
+        save_session_bytes(&full).unwrap()
+    );
 }
 
 #[test]
@@ -435,9 +438,9 @@ proptest! {
             _ => {}
         }
 
-        let bytes = save_session_bytes(&sess);
+        let bytes = save_session_bytes(&sess).unwrap();
         let loaded = load_session_bytes(series.clone(), &bytes).unwrap();
-        prop_assert_eq!(save_session_bytes(&loaded), bytes);
+        prop_assert_eq!(save_session_bytes(&loaded).unwrap(), bytes);
         prop_assert_eq!(loaded.key_frames().len(), n_keys);
         prop_assert_eq!(loaded.paints(), sess.paints());
         prop_assert_eq!(loaded.tracks(), sess.tracks());

@@ -34,4 +34,4 @@ pub use classify::{
     TrainError,
 };
 pub use features::{FeatureExtractor, FeatureSpec, ShellMode};
-pub use paint::{PaintOracle, PaintSet};
+pub use paint::{PaintError, PaintOracle, PaintSet};

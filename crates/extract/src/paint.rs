@@ -85,6 +85,32 @@ impl PaintSet {
     }
 }
 
+/// Why [`PaintOracle::try_paint_from_truth`] could not paint a frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PaintError {
+    /// The truth mask has no voxel on the allowed slices of `step`.
+    NoPositives { step: u32 },
+    /// The truth mask covers every allowed slice of `step`.
+    NoNegatives { step: u32 },
+}
+
+impl std::fmt::Display for PaintError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PaintError::NoPositives { step } => write!(
+                f,
+                "cannot paint positives on step {step}: truth empty on allowed slices"
+            ),
+            PaintError::NoNegatives { step } => write!(
+                f,
+                "cannot paint negatives on step {step}: truth covers all allowed slices"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PaintError {}
+
 /// A scripted "scientist" that paints training samples from ground truth.
 #[derive(Debug, Clone)]
 pub struct PaintOracle {
@@ -107,7 +133,8 @@ impl PaintOracle {
 
     /// Paint `n_pos` positive and `n_neg` negative voxels for one frame,
     /// drawn uniformly from the truth mask / its complement on the allowed
-    /// slices. Panics if the mask (or complement) is empty on those slices.
+    /// slices. Panics if the mask (or complement) is empty on those slices;
+    /// [`Self::try_paint_from_truth`] reports that as an error instead.
     pub fn paint_from_truth(
         &mut self,
         step: u32,
@@ -115,6 +142,20 @@ impl PaintOracle {
         n_pos: usize,
         n_neg: usize,
     ) -> PaintSet {
+        self.try_paint_from_truth(step, truth, n_pos, n_neg)
+            .unwrap_or_else(|e| panic!("oracle {e}"))
+    }
+
+    /// [`Self::paint_from_truth`], failing with a [`PaintError`] (and
+    /// drawing nothing) when the truth mask or its complement has no voxel
+    /// on the allowed slices.
+    pub fn try_paint_from_truth(
+        &mut self,
+        step: u32,
+        truth: &Mask3,
+        n_pos: usize,
+        n_neg: usize,
+    ) -> Result<PaintSet, PaintError> {
         let d = truth.dims();
         let allowed = |z: usize| z % self.slice_stride.max(1) == 0;
 
@@ -122,14 +163,12 @@ impl PaintOracle {
         let neg_pool: Vec<_> = all_coords(d)
             .filter(|&(x, y, z)| allowed(z) && !truth.get(x, y, z))
             .collect();
-        assert!(
-            !pos_pool.is_empty(),
-            "oracle cannot paint positives: truth empty on allowed slices"
-        );
-        assert!(
-            !neg_pool.is_empty(),
-            "oracle cannot paint negatives: truth covers all allowed slices"
-        );
+        if pos_pool.is_empty() {
+            return Err(PaintError::NoPositives { step });
+        }
+        if neg_pool.is_empty() {
+            return Err(PaintError::NoNegatives { step });
+        }
 
         let mut set = PaintSet::new(step);
         for _ in 0..n_pos {
@@ -140,7 +179,7 @@ impl PaintOracle {
             let v = neg_pool[self.rng.gen_range(0..neg_pool.len())];
             set.paint(v, self.flip());
         }
-        set
+        Ok(set)
     }
 
     fn flip(&mut self) -> bool {
@@ -260,6 +299,26 @@ mod tests {
         let a = PaintOracle::new(9).paint_from_truth(0, &truth, 10, 10);
         let b = PaintOracle::new(9).paint_from_truth(0, &truth, 10, 10);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn try_paint_reports_the_empty_side_and_step() {
+        let d = Dims3::cube(8);
+        let mut o = PaintOracle::new(0);
+        assert_eq!(
+            o.try_paint_from_truth(3, &Mask3::empty(d), 1, 1),
+            Err(PaintError::NoPositives { step: 3 })
+        );
+        let full = Mask3::from_fn(d, |_, _, _| true);
+        let err = o.try_paint_from_truth(5, &full, 1, 1).unwrap_err();
+        assert_eq!(err, PaintError::NoNegatives { step: 5 });
+        assert!(err.to_string().contains("step 5"), "{err}");
+        // A failed call draws nothing: the stream matches a fresh oracle's.
+        let truth = ball_mask(12, 4.0);
+        assert_eq!(
+            o.try_paint_from_truth(0, &truth, 10, 10).unwrap(),
+            PaintOracle::new(0).paint_from_truth(0, &truth, 10, 10)
+        );
     }
 
     #[test]

@@ -50,11 +50,11 @@ fn seeds_from_track(args: &Args, dims: Dims3) -> Result<Vec<[f64; 3]>, String> {
             series.dims()
         ));
     }
-    let session = VisSession::new(series).map_err(|e| e.to_string())?;
-    let result = session
-        .track_fixed(&[(0, sx, sy, sz)], lo, hi)
-        .map_err(|e| format!("seed tracking failed: {e}"))?;
-    let seeds: Vec<[f64; 3]> = result.masks[0]
+    // Only frame 0's mask is read, so the masks are grown but not labelled.
+    let failed = |e: SessionError| format!("seed tracking failed: {e}");
+    let criterion = FixedBandCriterion::new(lo, hi, series.len()).map_err(|e| failed(e.into()))?;
+    let masks = grow_4d(&series, &criterion, &[(0, sx, sy, sz)]).map_err(|e| failed(e.into()))?;
+    let seeds: Vec<[f64; 3]> = masks[0]
         .set_coords()
         .map(|(x, y, z)| [x as f64, y as f64, z as f64])
         .collect();

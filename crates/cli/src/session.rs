@@ -26,7 +26,11 @@ pub(crate) fn cmd_session(args: &Args) -> Result<String, String> {
     };
     let data = Data::open(args, frame_paths(args.require("data")?))?;
     let mut out = action(args, data.source())?;
-    out.push_str(&data.summary());
+    let summary = data.summary();
+    if !summary.is_empty() && !out.ends_with('\n') {
+        out.push('\n');
+    }
+    out.push_str(&summary);
     Ok(out)
 }
 

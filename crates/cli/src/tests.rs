@@ -973,7 +973,10 @@ fn session_ooc_save_load_resume_match_in_core() {
     assert!(reference[2].contains("resumed tracking to completion"));
     for (j, (budget, frames, bytes)) in budgets().iter().enumerate() {
         let (outs, got) = session(&format!("b{j}"), budget);
+        // The summary starts a line of its own after the in-core output.
         for (out, want) in outs.iter().zip(&reference) {
+            let line_end = if want.ends_with('\n') { "" } else { "\n" };
+            let want = format!("{want}{line_end}");
             assert_eq!(paged_body(out, *frames, *bytes), want, "{budget}");
         }
         for (k, what) in ["artifact", "resumed artifact", "save trace", "resume trace"]

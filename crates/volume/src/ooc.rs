@@ -15,33 +15,38 @@
 //! Residency is governed by a [`CacheBudget`] — either a frame count or a
 //! byte total — owned by a [`CacheBudgetHandle`]. The handle is cloneable and
 //! may be shared across several series (a multi-variable session opens one
-//! series per variable); eviction is then *global*: the least-recently-used
-//! frame across every member series is evicted first, charged by its actual
-//! byte size. In-flight reads (demand misses and prefetches that have
+//! series per variable). Everything one handle governs sits behind one
+//! mutex: the totals, the residency groups, and each member series' resident
+//! frames, in-flight reads and statistics. Every touch stamps its frame from
+//! one budget-wide clock, and that stamp is the only recency order: eviction
+//! takes the least-stamped frame across every member series, charged by its
+//! actual byte size. In-flight reads (demand misses and prefetches that have
 //! reserved space but not yet committed) count against the budget, so the
 //! high-water marks are honest even while the prefetch worker is mid-read.
+//! A reader that has to wait — for a frame another reader is loading, or for
+//! room — sleeps on the budget's one condvar until a read settles.
 //!
 //! # Prefetch
 //!
-//! [`OutOfCoreSeries::set_prefetch`] starts a background `std::thread` that
-//! services read-ahead hints (see `FrameSource::prefetch_hint` in
-//! [`crate::source`]): while the caller computes on the current window, the
-//! worker pages the next window's frames through the same reserve → read →
-//! commit path as demand misses. Prefetch is *purely* a warm-cache hint — a
-//! failed or skipped prefetch never changes what demand reads return, and
-//! prefetch emits no obs spans (only runtime counters), so stable traces are
+//! A series opened with a nonzero prefetch depth starts one background
+//! `std::thread` that services read-ahead hints (see
+//! `FrameSource::prefetch_hint` in [`crate::source`]) until the series is
+//! dropped: while the caller computes on the current window, the worker
+//! pages the next window's frames through the same reserve → read → commit
+//! path as demand misses. Prefetch is *purely* a warm-cache hint — a failed
+//! or skipped prefetch never changes what demand reads return, and prefetch
+//! emits no obs spans (only runtime counters), so stable traces are
 //! byte-identical whether read-ahead is on or off. Transient read failures
 //! are retried a bounded number of times on both paths; the prefetch worker
 //! then degrades silently while demand reads surface the error.
 
 use crate::dims::Dims3;
-use crate::io::{write_series_with, IoError};
+use crate::io::{write_series, IoError};
 use crate::series::TimeSeries;
 use crate::volume::ScalarVolume;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Paging statistics for one [`OutOfCoreSeries`].
@@ -136,15 +141,10 @@ pub struct GroupStats {
     pub active: usize,
 }
 
-const NIL: usize = usize::MAX;
-
-/// One resident frame, threaded on an intrusive LRU list over slot indices.
+/// One resident frame.
 struct Slot {
-    frame: usize,
     vol: Arc<ScalarVolume>,
-    prev: usize,
-    next: usize,
-    /// Global recency stamp (from the budget's tick) for cross-series LRU.
+    /// Budget-wide recency stamp: eviction takes the least-stamped frame.
     stamp: u64,
     /// Loaded by the prefetch worker and not yet touched by demand.
     prefetched: bool,
@@ -153,153 +153,17 @@ struct Slot {
     bytes: u64,
 }
 
-/// Per-series cache state: a frame-index map into a slot slab whose occupied
-/// slots form a doubly-linked recency list (`head` = least recent, `tail` =
-/// most recent), plus the set of frame indices currently being read.
-struct Cache {
-    map: HashMap<usize, usize>,
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+/// One member series' share of its budget's state.
+#[derive(Default)]
+struct Member {
+    frames: HashMap<usize, Slot>,
+    /// Frames being read right now: reserved, not yet committed.
     inflight: HashSet<usize>,
-    stats: CacheStats,
-}
-
-impl Cache {
-    fn new() -> Self {
-        Self {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            inflight: HashSet::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    fn detach(&mut self, s: usize) {
-        let (prev, next) = {
-            let e = self.slots[s].as_ref().unwrap();
-            (e.prev, e.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].as_mut().unwrap().next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].as_mut().unwrap().prev = prev,
-        }
-    }
-
-    fn attach_most_recent(&mut self, s: usize) {
-        {
-            let e = self.slots[s].as_mut().unwrap();
-            e.prev = self.tail;
-            e.next = NIL;
-        }
-        match self.tail {
-            NIL => self.head = s,
-            t => self.slots[t].as_mut().unwrap().next = s,
-        }
-        self.tail = s;
-    }
-
-    /// Demand lookup: on a hit, refresh recency, stamp, and the prefetch
-    /// bookkeeping. Does *not* count misses — the caller decides whether an
-    /// absence becomes a miss (it may first wait out an in-flight read).
-    fn get_resident(&mut self, idx: usize, stamp: u64) -> Option<Arc<ScalarVolume>> {
-        let &s = self.map.get(&idx)?;
-        self.detach(s);
-        self.attach_most_recent(s);
-        let e = self.slots[s].as_mut().unwrap();
-        e.stamp = stamp;
-        if e.prefetched {
-            e.prefetched = false;
-            self.stats.prefetch_hits += 1;
-            ifet_obs::counter_runtime("volume.ooc.prefetch_hit", 1);
-        }
-        self.stats.hits += 1;
-        ifet_obs::counter_runtime("volume.ooc.hit", 1);
-        Some(e.vol.clone())
-    }
-
-    fn note_miss(&mut self) {
-        self.stats.misses += 1;
-        ifet_obs::counter_runtime("volume.ooc.miss", 1);
-    }
-
-    /// Insert a committed load charged at `bytes`. The budget has already
-    /// reserved space; the in-flight guard guarantees no duplicate entry.
-    fn insert(
-        &mut self,
-        idx: usize,
-        vol: Arc<ScalarVolume>,
-        stamp: u64,
-        prefetched: bool,
-        bytes: u64,
-    ) {
-        debug_assert!(!self.map.contains_key(&idx));
-        let s = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        self.slots[s] = Some(Slot {
-            frame: idx,
-            vol,
-            prev: NIL,
-            next: NIL,
-            stamp,
-            prefetched,
-            bytes,
-        });
-        self.attach_most_recent(s);
-        self.map.insert(idx, s);
-        self.stats.bytes_paged += bytes;
-        self.stats.resident_bytes += bytes;
-        ifet_obs::counter_runtime("volume.ooc.bytes_paged", bytes);
-        if prefetched {
-            self.stats.prefetched += 1;
-            ifet_obs::counter_runtime("volume.ooc.prefetched", 1);
-        }
-    }
-
-    /// Evict the least-recently-used slot; returns the bytes freed.
-    fn evict_lru(&mut self) -> u64 {
-        let lru = self.head;
-        debug_assert_ne!(lru, NIL);
-        self.detach(lru);
-        let e = self.slots[lru].take().unwrap();
-        self.map.remove(&e.frame);
-        self.free.push(lru);
-        self.stats.evictions += 1;
-        self.stats.resident_bytes -= e.bytes;
-        ifet_obs::counter_runtime("volume.ooc.evict", 1);
-        if e.prefetched {
-            self.stats.prefetch_wasted += 1;
-            ifet_obs::counter_runtime("volume.ooc.prefetch_wasted", 1);
-        }
-        e.bytes
-    }
-
-    /// Recency stamp of the LRU slot, if any frame is resident.
-    fn lru_stamp(&self) -> Option<u64> {
-        match self.head {
-            NIL => None,
-            h => Some(self.slots[h].as_ref().unwrap().stamp),
-        }
-    }
-}
-
-/// One series' cache plus the condvar its in-flight waiters sleep on.
-struct SeriesCache {
-    cache: Mutex<Cache>,
-    cv: Condvar,
     /// Residency group this series' bytes are attributed to (0 = the default
     /// group: no quota, shared with every unassigned series).
-    group: AtomicU64,
+    group: u64,
+    stats: CacheStats,
+    fault: Option<ReadFaultHook>,
 }
 
 /// Per-group residency accounting; created lazily on first touch.
@@ -315,7 +179,7 @@ struct GroupState {
     quota_evictions: u64,
 }
 
-/// Shared accounting for every series on one budget handle.
+/// Everything one budget handle governs.
 #[derive(Default)]
 struct BudgetState {
     resident_frames: usize,
@@ -327,131 +191,139 @@ struct BudgetState {
     evictions: u64,
     quota_evictions: u64,
     idle_evictions: u64,
+    /// Recency clock: every touch and every commit takes the next stamp.
+    clock: u64,
     groups: HashMap<u64, GroupState>,
-    members: Vec<Weak<SeriesCache>>,
+    /// Member series by the id [`Budget::register`] handed out.
+    members: HashMap<u64, Member>,
+    next_member: u64,
 }
 
 impl BudgetState {
     fn group_mut(&mut self, g: u64) -> &mut GroupState {
         self.groups.entry(g).or_default()
     }
-}
 
-/// Lock order is strictly budget → cache: the budget lock may be held while
-/// member cache locks are taken (eviction, commit), never the reverse.
-struct Budget {
-    limit: CacheBudget,
-    state: Mutex<BudgetState>,
-    cv: Condvar,
-    /// Global recency clock: every touch stamps its slot so eviction can
-    /// order frames across series.
-    tick: AtomicU64,
-}
-
-impl Budget {
-    fn fits(&self, st: &BudgetState, frame_bytes: u64) -> bool {
-        match self.limit {
-            CacheBudget::Frames(n) => st.resident_frames + st.inflight_frames < n.max(1),
-            CacheBudget::Bytes(b) => st.resident_bytes + st.inflight_bytes + frame_bytes <= b,
-        }
+    /// A member series; registered at open, removed when it is dropped.
+    fn member(&mut self, id: u64) -> &mut Member {
+        self.members
+            .get_mut(&id)
+            .expect("a live series is a member of its budget")
     }
 
-    /// Account an eviction of `freed` bytes attributed to `group`.
-    fn debit_eviction(st: &mut BudgetState, group: u64, freed: u64) {
-        st.resident_frames -= 1;
-        st.resident_bytes -= freed;
-        st.evictions += 1;
-        let g = st.group_mut(group);
-        g.resident_bytes = g.resident_bytes.saturating_sub(freed);
+    fn next_stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
-    /// Evict the least-recent resident frame, preferring frames whose
-    /// residency group is *idle* (activity refcount zero) over frames of
-    /// active groups. Falls back to the global LRU when every resident frame
-    /// belongs to an active group. Returns `false` when nothing is resident.
-    fn evict_one(&self, st: &mut BudgetState) -> bool {
-        st.members.retain(|w| w.strong_count() > 0);
-        // (member index, stamp, group, group is idle) per member LRU head.
-        let mut global: Option<(usize, u64, u64)> = None;
-        let mut idle: Option<(usize, u64, u64)> = None;
-        for (mi, w) in st.members.iter().enumerate() {
-            let Some(sc) = w.upgrade() else { continue };
-            let c = sc.cache.lock().unwrap();
-            let Some(stamp) = c.lru_stamp() else { continue };
-            let group = sc.group.load(Ordering::Relaxed);
-            if global.map_or(true, |(_, s, _)| stamp < s) {
-                global = Some((mi, stamp, group));
-            }
-            let group_active = st.groups.get(&group).map_or(0, |g| g.active);
-            if group_active == 0 && idle.map_or(true, |(_, s, _)| stamp < s) {
-                idle = Some((mi, stamp, group));
-            }
+    /// Demand lookup: on a hit, restamp the frame and settle the prefetch
+    /// bookkeeping. Does *not* count misses — the caller decides whether an
+    /// absence becomes a miss (it may first wait out an in-flight read).
+    fn touch(&mut self, id: u64, frame: usize) -> Option<Arc<ScalarVolume>> {
+        let stamp = self.next_stamp();
+        let m = self.member(id);
+        let s = m.frames.get_mut(&frame)?;
+        s.stamp = stamp;
+        if s.prefetched {
+            s.prefetched = false;
+            m.stats.prefetch_hits += 1;
+            ifet_obs::counter_runtime("volume.ooc.prefetch_hit", 1);
         }
-        let Some((gmi, gstamp, ggroup)) = global else {
-            return false;
-        };
-        let (mi, stamp, group) = idle.unwrap_or((gmi, gstamp, ggroup));
-        let Some(sc) = st.members[mi].upgrade() else {
-            return false;
-        };
-        let mut c = sc.cache.lock().unwrap();
-        if c.lru_stamp().is_none() {
-            return false;
-        }
-        let freed = c.evict_lru();
-        drop(c);
-        Self::debit_eviction(st, group, freed);
-        if stamp != gstamp {
-            st.idle_evictions += 1;
-            ifet_obs::counter_runtime("volume.ooc.idle_evict", 1);
-        }
-        true
-    }
-
-    /// Evict the least-recent resident frame *within* one residency group
-    /// (the quota-local phase). Returns `false` when the group has nothing
-    /// resident.
-    fn evict_one_in_group(&self, st: &mut BudgetState, group: u64) -> bool {
-        st.members.retain(|w| w.strong_count() > 0);
-        let mut best: Option<(usize, u64)> = None;
-        for (mi, w) in st.members.iter().enumerate() {
-            let Some(sc) = w.upgrade() else { continue };
-            if sc.group.load(Ordering::Relaxed) != group {
-                continue;
-            }
-            let c = sc.cache.lock().unwrap();
-            if let Some(stamp) = c.lru_stamp() {
-                if best.map_or(true, |(_, s)| stamp < s) {
-                    best = Some((mi, stamp));
-                }
-            }
-        }
-        let Some((mi, _)) = best else { return false };
-        let Some(sc) = st.members[mi].upgrade() else {
-            return false;
-        };
-        let mut c = sc.cache.lock().unwrap();
-        if c.lru_stamp().is_none() {
-            return false;
-        }
-        let freed = c.evict_lru();
-        drop(c);
-        Self::debit_eviction(st, group, freed);
-        st.quota_evictions += 1;
-        st.group_mut(group).quota_evictions += 1;
-        ifet_obs::counter_runtime("volume.ooc.quota_evict", 1);
-        true
+        m.stats.hits += 1;
+        ifet_obs::counter_runtime("volume.ooc.hit", 1);
+        Some(s.vol.clone())
     }
 
     /// Whether `group` can take `frame_bytes` more without crossing its
     /// quota. Groups without a quota always have room.
-    fn quota_room(st: &BudgetState, group: u64, frame_bytes: u64) -> bool {
-        match st.groups.get(&group) {
-            Some(g) => match g.quota {
-                Some(q) => g.resident_bytes + g.inflight_bytes + frame_bytes <= q,
-                None => true,
-            },
-            None => true,
+    fn quota_room(&self, group: u64, frame_bytes: u64) -> bool {
+        self.groups.get(&group).map_or(true, |g| {
+            g.quota.map_or(true, |q| {
+                g.resident_bytes + g.inflight_bytes + frame_bytes <= q
+            })
+        })
+    }
+
+    /// Evict the least-stamped resident frame. `Some(group)` is the
+    /// quota-local phase: only that group's frames are candidates. `None`
+    /// takes the least-stamped frame of an *idle* group (activity refcount
+    /// zero) when there is one, otherwise the least-stamped frame overall.
+    /// Returns `false` when no candidate is resident.
+    fn evict_one(&mut self, within: Option<u64>) -> bool {
+        let idle = |g: u64| self.groups.get(&g).map_or(true, |s| s.active == 0);
+        // (stamp, member, frame, group) of every candidate; stamps are unique.
+        let candidates = || {
+            self.members
+                .iter()
+                .filter(move |(_, m)| within.map_or(true, |g| g == m.group))
+                .flat_map(|(&id, m)| {
+                    m.frames
+                        .iter()
+                        .map(move |(&f, s)| (s.stamp, id, f, m.group))
+                })
+        };
+        let Some(oldest) = candidates().min() else {
+            return false;
+        };
+        let (stamp, id, frame, group) = match within {
+            Some(_) => oldest,
+            None => candidates().filter(|c| idle(c.3)).min().unwrap_or(oldest),
+        };
+        let m = self.member(id);
+        let slot = m.frames.remove(&frame).expect("candidate is resident");
+        m.stats.evictions += 1;
+        m.stats.resident_bytes -= slot.bytes;
+        ifet_obs::counter_runtime("volume.ooc.evict", 1);
+        if slot.prefetched {
+            m.stats.prefetch_wasted += 1;
+            ifet_obs::counter_runtime("volume.ooc.prefetch_wasted", 1);
+        }
+        self.resident_frames -= 1;
+        self.resident_bytes -= slot.bytes;
+        self.evictions += 1;
+        let g = self.group_mut(group);
+        g.resident_bytes = g.resident_bytes.saturating_sub(slot.bytes);
+        if within.is_some() {
+            g.quota_evictions += 1;
+            self.quota_evictions += 1;
+            ifet_obs::counter_runtime("volume.ooc.quota_evict", 1);
+        } else if stamp != oldest.0 {
+            self.idle_evictions += 1;
+            ifet_obs::counter_runtime("volume.ooc.idle_evict", 1);
+        }
+        true
+    }
+}
+
+type State<'a> = MutexGuard<'a, BudgetState>;
+
+struct Budget {
+    limit: CacheBudget,
+    state: Mutex<BudgetState>,
+    /// Signalled whenever a wait may be over: a read commits or is abandoned,
+    /// a quota changes, a series changes group or is dropped.
+    cv: Condvar,
+}
+
+impl Budget {
+    /// The budget state. Reads run unlocked, so a reader's panic leaves the
+    /// lock clean; poison means the bookkeeping itself panicked.
+    fn state(&self) -> State<'_> {
+        self.state
+            .lock()
+            .expect("budget bookkeeping panicked under its lock")
+    }
+
+    fn wait<'a>(&self, st: State<'a>) -> State<'a> {
+        self.cv
+            .wait(st)
+            .expect("budget bookkeeping panicked under its lock")
+    }
+
+    fn fits(&self, st: &BudgetState, frame_bytes: u64) -> bool {
+        match self.limit {
+            CacheBudget::Frames(n) => st.resident_frames + st.inflight_frames < n.max(1),
+            CacheBudget::Bytes(b) => st.resident_bytes + st.inflight_bytes + frame_bytes <= b,
         }
     }
 
@@ -462,18 +334,15 @@ impl Budget {
     /// evictable and nothing else is in flight, the reservation proceeds
     /// anyway so a sub-frame budget (or sub-frame quota) still makes
     /// progress (the single-frame floor, globally and per group).
-    fn reserve(&self, frame_bytes: u64, group: u64) {
-        let mut st = self.state.lock().unwrap();
+    fn reserve<'a>(&self, mut st: State<'a>, frame_bytes: u64, group: u64) -> State<'a> {
         loop {
-            while !Self::quota_room(&st, group, frame_bytes)
-                && self.evict_one_in_group(&mut st, group)
-            {}
-            while !self.fits(&st, frame_bytes) && self.evict_one(&mut st) {}
+            while !st.quota_room(group, frame_bytes) && st.evict_one(Some(group)) {}
+            while !self.fits(&st, frame_bytes) && st.evict_one(None) {}
             let group_floor = st
                 .groups
                 .get(&group)
                 .map_or(true, |g| g.resident_bytes + g.inflight_bytes == 0);
-            let quota_ok = Self::quota_room(&st, group, frame_bytes) || group_floor;
+            let quota_ok = st.quota_room(group, frame_bytes) || group_floor;
             let global_ok = self.fits(&st, frame_bytes) || st.inflight_frames == 0;
             if quota_ok && global_ok {
                 st.inflight_frames += 1;
@@ -483,79 +352,31 @@ impl Budget {
                 let g = st.group_mut(group);
                 g.inflight_bytes += frame_bytes;
                 g.hw_bytes = g.hw_bytes.max(g.resident_bytes + g.inflight_bytes);
-                return;
+                return st;
             }
-            // Timed wait as a spurious-wakeup / missed-notify guard; the loop
-            // re-checks the budget either way.
-            let (g, _) = self.cv.wait_timeout(st, Duration::from_millis(50)).unwrap();
-            st = g;
+            // Nothing evictable could make room, so another read is in
+            // flight: with none, both floors would admit this one. That
+            // read's commit or abandonment signals, so the wait needs no
+            // timeout.
+            st = self.wait(st);
         }
     }
 
-    /// Turn a reservation of `bytes` into a resident cache entry. Accounting
-    /// and insert happen under the budget lock so the evictor never sees them
-    /// disagree. `group` must match the reservation's.
-    fn commit_and_insert(
-        &self,
-        sc: &SeriesCache,
-        idx: usize,
-        vol: Arc<ScalarVolume>,
-        prefetched: bool,
-        bytes: u64,
-        group: u64,
-    ) {
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock().unwrap();
-        {
-            let mut c = sc.cache.lock().unwrap();
-            c.insert(idx, vol, stamp, prefetched, bytes);
-            c.inflight.remove(&idx);
-        }
-        st.inflight_frames -= 1;
-        st.inflight_bytes -= bytes;
-        st.resident_frames += 1;
-        st.resident_bytes += bytes;
-        let g = st.group_mut(group);
-        g.inflight_bytes = g.inflight_bytes.saturating_sub(bytes);
-        g.resident_bytes += bytes;
-        drop(st);
+    /// Add a member series; returns its id.
+    fn register(&self) -> u64 {
+        let mut st = self.state();
+        st.next_member += 1;
+        let id = st.next_member;
+        st.members.insert(id, Member::default());
+        id
+    }
+
+    /// Update the budget state, then wake every waiter to re-check. An
+    /// abandoned read and a dropped series settle here from `Drop`, which
+    /// must not panic, so a poisoned guard is recovered.
+    fn signal(&self, f: impl FnOnce(&mut BudgetState)) {
+        f(&mut self.state.lock().unwrap_or_else(PoisonError::into_inner));
         self.cv.notify_all();
-        sc.cv.notify_all();
-    }
-
-    /// Abandon a reservation of `bytes` after a failed read.
-    fn release(&self, sc: &SeriesCache, idx: usize, bytes: u64, group: u64) {
-        let mut st = self.state.lock().unwrap();
-        {
-            let mut c = sc.cache.lock().unwrap();
-            c.inflight.remove(&idx);
-        }
-        st.inflight_frames -= 1;
-        st.inflight_bytes -= bytes;
-        let g = st.group_mut(group);
-        g.inflight_bytes = g.inflight_bytes.saturating_sub(bytes);
-        drop(st);
-        self.cv.notify_all();
-        sc.cv.notify_all();
-    }
-
-    fn register(&self, sc: &Arc<SeriesCache>) {
-        self.state.lock().unwrap().members.push(Arc::downgrade(sc));
-    }
-
-    fn stats(&self) -> BudgetStats {
-        let st = self.state.lock().unwrap();
-        BudgetStats {
-            resident_frames: st.resident_frames,
-            resident_bytes: st.resident_bytes,
-            inflight_frames: st.inflight_frames,
-            inflight_bytes: st.inflight_bytes,
-            high_water_frames: st.hw_frames,
-            high_water_bytes: st.hw_bytes,
-            evictions: st.evictions,
-            quota_evictions: st.quota_evictions,
-            idle_evictions: st.idle_evictions,
-        }
     }
 }
 
@@ -572,7 +393,6 @@ impl CacheBudgetHandle {
             limit,
             state: Mutex::new(BudgetState::default()),
             cv: Condvar::new(),
-            tick: AtomicU64::new(0),
         }))
     }
 
@@ -593,7 +413,18 @@ impl CacheBudgetHandle {
     /// Aggregate accounting across all member series, including in-flight
     /// reads and the high-water marks.
     pub fn stats(&self) -> BudgetStats {
-        self.0.stats()
+        let st = self.0.state();
+        BudgetStats {
+            resident_frames: st.resident_frames,
+            resident_bytes: st.resident_bytes,
+            inflight_frames: st.inflight_frames,
+            inflight_bytes: st.inflight_bytes,
+            high_water_frames: st.hw_frames,
+            high_water_bytes: st.hw_bytes,
+            evictions: st.evictions,
+            quota_evictions: st.quota_evictions,
+            idle_evictions: st.idle_evictions,
+        }
     }
 
     /// Set (or clear) a resident-byte quota for one residency group. A group
@@ -601,8 +432,7 @@ impl CacheBudgetHandle {
     /// more; it never spills its overflow onto other groups. A quota smaller
     /// than one frame still admits a single frame (the per-group floor).
     pub fn set_group_quota(&self, group: u64, quota_bytes: Option<u64>) {
-        let mut st = self.0.state.lock().unwrap();
-        st.group_mut(group).quota = quota_bytes;
+        self.0.signal(|st| st.group_mut(group).quota = quota_bytes);
     }
 
     /// Mark one in-flight request against `group`. While a group's activity
@@ -610,22 +440,20 @@ impl CacheBudgetHandle {
     /// global eviction takes the LRU frame of an *idle* group when one
     /// exists. Pair every call with [`Self::group_exit`].
     pub fn group_enter(&self, group: u64) {
-        let mut st = self.0.state.lock().unwrap();
-        st.group_mut(group).active += 1;
+        self.0.state().group_mut(group).active += 1;
     }
 
     /// Balance a [`Self::group_enter`]; the group becomes idle (and its
     /// frames become preferred victims) when the refcount reaches zero.
     pub fn group_exit(&self, group: u64) {
-        let mut st = self.0.state.lock().unwrap();
+        let mut st = self.0.state();
         let g = st.group_mut(group);
         g.active = g.active.saturating_sub(1);
     }
 
     /// Accounting for one residency group (zeros if never touched).
     pub fn group_stats(&self, group: u64) -> GroupStats {
-        let st = self.0.state.lock().unwrap();
-        match st.groups.get(&group) {
+        match self.0.state().groups.get(&group) {
             Some(g) => GroupStats {
                 resident_bytes: g.resident_bytes,
                 inflight_bytes: g.inflight_bytes,
@@ -674,19 +502,79 @@ struct Inner {
     charges: Vec<u64>,
     /// Largest per-frame charge, for the conservative `capacity()` bound.
     max_charge: u64,
-    sc: Arc<SeriesCache>,
     budget: CacheBudgetHandle,
+    /// This series' member id under `budget`.
+    id: u64,
     /// Memoized global `(min, max)`: one streaming scan, reused thereafter.
-    range: Mutex<Option<(f32, f32)>>,
-    fault: Mutex<Option<ReadFaultHook>>,
+    range: OnceLock<(f32, f32)>,
+}
+
+/// A reserved read of one frame: the frame is in flight and its charge is on
+/// the budget. [`Reservation::commit`] makes the frame resident; dropping
+/// the reservation uncommitted — a failed read, or a panic in the reader or
+/// the fault hook — abandons it, so the budget gets the charge back and
+/// waiters on the frame wake to load it themselves.
+struct Reservation<'a> {
+    inner: &'a Inner,
+    frame: usize,
+    bytes: u64,
+    /// The group charged at reservation, read once so that reserve and
+    /// settle agree even if the series is reassigned mid-read.
+    group: u64,
+    settled: bool,
+}
+
+impl Reservation<'_> {
+    fn commit(mut self, vol: Arc<ScalarVolume>, prefetched: bool) {
+        self.settle(Some((vol, prefetched)));
+    }
+
+    /// Take the frame out of flight, inserting it as resident when loaded.
+    fn settle(&mut self, loaded: Option<(Arc<ScalarVolume>, bool)>) {
+        self.settled = true;
+        let (frame, bytes) = (self.frame, self.bytes);
+        let b = &self.inner.budget.0;
+        b.signal(|st| {
+            st.member(self.inner.id).inflight.remove(&frame);
+            st.inflight_frames -= 1;
+            st.inflight_bytes -= bytes;
+            let g = st.group_mut(self.group);
+            g.inflight_bytes = g.inflight_bytes.saturating_sub(bytes);
+            let Some((vol, prefetched)) = loaded else {
+                return;
+            };
+            g.resident_bytes += bytes;
+            st.resident_frames += 1;
+            st.resident_bytes += bytes;
+            let stamp = st.next_stamp();
+            let m = st.member(self.inner.id);
+            let slot = Slot {
+                vol,
+                stamp,
+                prefetched,
+                bytes,
+            };
+            m.frames.insert(frame, slot);
+            m.stats.bytes_paged += bytes;
+            m.stats.resident_bytes += bytes;
+            ifet_obs::counter_runtime("volume.ooc.bytes_paged", bytes);
+            if prefetched {
+                m.stats.prefetched += 1;
+                ifet_obs::counter_runtime("volume.ooc.prefetched", 1);
+            }
+        });
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if !self.settled {
+            self.settle(None);
+        }
+    }
 }
 
 impl Inner {
-    /// Budget charge of frame `i` (its on-disk byte size).
-    fn charge(&self, i: usize) -> u64 {
-        self.charges[i]
-    }
-
     /// The physical page-in of one frame: a copying read for raw frames, a
     /// decode for compressed ones.
     fn read_one(&self, i: usize) -> Result<ScalarVolume, IoError> {
@@ -696,7 +584,8 @@ impl Inner {
     /// One logical read with bounded retry; the fault hook (when installed)
     /// may delay or fail individual attempts.
     fn read_frame(&self, i: usize) -> Result<ScalarVolume, IoError> {
-        let hook = self.fault.lock().unwrap().clone();
+        let b = &self.budget.0;
+        let hook = b.state().member(self.id).fault.clone();
         let mut attempt = 0;
         loop {
             attempt += 1;
@@ -718,7 +607,7 @@ impl Inner {
                     if attempt >= READ_ATTEMPTS {
                         return Err(e);
                     }
-                    self.sc.cache.lock().unwrap().stats.read_retries += 1;
+                    b.state().member(self.id).stats.read_retries += 1;
                     ifet_obs::counter_runtime("volume.ooc.read_retry", 1);
                 }
             }
@@ -729,44 +618,24 @@ impl Inner {
     fn demand_frame(&self, i: usize) -> Result<Arc<ScalarVolume>, IoError> {
         assert!(i < self.paths.len(), "frame {i} out of range");
         let b = &self.budget.0;
-        {
-            let mut c = self.sc.cache.lock().unwrap();
-            loop {
-                let stamp = b.tick.fetch_add(1, Ordering::Relaxed);
-                if let Some(v) = c.get_resident(i, stamp) {
-                    return Ok(v);
-                }
-                if !c.inflight.contains(&i) {
-                    break;
-                }
-                // Someone (usually the prefetch worker) is already reading
-                // this frame; wait for commit or release, then re-check.
-                let (g, _) = self
-                    .sc
-                    .cv
-                    .wait_timeout(c, Duration::from_millis(50))
-                    .unwrap();
-                c = g;
+        let mut st = b.state();
+        loop {
+            if let Some(v) = st.touch(self.id, i) {
+                return Ok(v);
             }
-            c.note_miss();
-            c.inflight.insert(i);
+            if !st.member(self.id).inflight.contains(&i) {
+                break;
+            }
+            // Someone (usually the prefetch worker) is already reading this
+            // frame; its commit or abandonment signals.
+            st = b.wait(st);
         }
-        let charge = self.charge(i);
-        // Group attribution is read once so reserve/commit/release agree even
-        // if the series is reassigned mid-read.
-        let group = self.sc.group.load(Ordering::Relaxed);
-        b.reserve(charge, group);
-        match self.read_frame(i) {
-            Ok(vol) => {
-                let vol = Arc::new(vol);
-                b.commit_and_insert(&self.sc, i, vol.clone(), false, charge, group);
-                Ok(vol)
-            }
-            Err(e) => {
-                b.release(&self.sc, i, charge, group);
-                Err(e)
-            }
-        }
+        st.member(self.id).stats.misses += 1;
+        ifet_obs::counter_runtime("volume.ooc.miss", 1);
+        let reservation = self.begin_read(st, i);
+        let vol = Arc::new(self.read_frame(i)?);
+        reservation.commit(vol.clone(), false);
+        Ok(vol)
     }
 
     /// Read-ahead: best-effort warm of the cache. Never surfaces errors —
@@ -775,59 +644,60 @@ impl Inner {
         if i >= self.paths.len() {
             return;
         }
-        let b = &self.budget.0;
-        {
-            let mut c = self.sc.cache.lock().unwrap();
-            if c.map.contains_key(&i) || c.inflight.contains(&i) {
-                c.stats.prefetch_misses += 1;
-                ifet_obs::counter_runtime("volume.ooc.prefetch_miss", 1);
-                return;
-            }
-            c.inflight.insert(i);
+        let mut st = self.budget.0.state();
+        let m = st.member(self.id);
+        if m.frames.contains_key(&i) || m.inflight.contains(&i) {
+            m.stats.prefetch_misses += 1;
+            ifet_obs::counter_runtime("volume.ooc.prefetch_miss", 1);
+            return;
         }
-        let charge = self.charge(i);
-        let group = self.sc.group.load(Ordering::Relaxed);
-        b.reserve(charge, group);
-        match self.read_frame(i) {
-            Ok(vol) => b.commit_and_insert(&self.sc, i, Arc::new(vol), true, charge, group),
-            Err(_) => b.release(&self.sc, i, charge, group),
+        let reservation = self.begin_read(st, i);
+        if let Ok(vol) = self.read_frame(i) {
+            reservation.commit(Arc::new(vol), true);
+        }
+    }
+
+    /// Mark frame `i` in flight and reserve its charge, evicting or waiting
+    /// for room; the lock is released for the read itself.
+    fn begin_read<'a>(&'a self, mut st: State<'_>, i: usize) -> Reservation<'a> {
+        let m = st.member(self.id);
+        m.inflight.insert(i);
+        let group = m.group;
+        let bytes = self.charges[i];
+        drop(self.budget.0.reserve(st, bytes, group));
+        Reservation {
+            inner: self,
+            frame: i,
+            bytes,
+            group,
+            settled: false,
         }
     }
 }
 
 impl Drop for Inner {
-    /// Hand this series' resident frames back to the shared budget. The
-    /// budget reaches member caches only through `Weak`s, so frames still
-    /// charged when the series goes away could never be evicted: every
-    /// other member would page under a budget shrunk by them for good.
+    /// Leave the budget and hand this series' resident frames back at once:
+    /// nothing can touch them again, so left in place they would only hold
+    /// memory and crowd the other members until evicted.
     fn drop(&mut self) {
-        let b = &self.budget.0;
-        let mut st = b.state.lock().unwrap_or_else(|e| e.into_inner());
-        // Emptied under both locks (budget → cache order), so an evictor
-        // that upgrades the `Weak` before the cache is freed finds nothing
-        // left to debit a second time.
-        let cache = std::mem::replace(
-            &mut *self.sc.cache.lock().unwrap_or_else(|e| e.into_inner()),
-            Cache::new(),
-        );
-        let bytes = cache.stats.resident_bytes;
-        st.resident_frames = st.resident_frames.saturating_sub(cache.map.len());
-        st.resident_bytes = st.resident_bytes.saturating_sub(bytes);
-        let g = st.group_mut(self.sc.group.load(Ordering::Relaxed));
-        g.resident_bytes = g.resident_bytes.saturating_sub(bytes);
-        drop(st);
-        b.cv.notify_all();
+        self.budget.0.signal(|st| {
+            let Some(m) = st.members.remove(&self.id) else {
+                return;
+            };
+            let bytes = m.stats.resident_bytes;
+            st.resident_frames = st.resident_frames.saturating_sub(m.frames.len());
+            st.resident_bytes = st.resident_bytes.saturating_sub(bytes);
+            let g = st.group_mut(m.group);
+            g.resident_bytes = g.resident_bytes.saturating_sub(bytes);
+        });
     }
 }
 
-enum PrefetchMsg {
-    /// Frame indices to read ahead, and the capture of the thread that asked.
-    Batch(Vec<usize>, ifet_obs::Handle),
-    Stop,
-}
-
+/// The read-ahead thread of one series. It serves batches of frame indices,
+/// each with the obs capture of the thread that asked, until `tx` is
+/// dropped.
 struct PrefetchWorker {
-    tx: mpsc::Sender<PrefetchMsg>,
+    tx: mpsc::Sender<(Vec<usize>, ifet_obs::Handle)>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -840,47 +710,21 @@ pub struct OutOfCoreSeries {
 }
 
 impl OutOfCoreSeries {
-    /// Write an in-core series to `dir` and return the disk-backed handle
-    /// with a private `Frames(capacity)` budget.
+    /// Write an in-core series to `dir` as raw frames and return the
+    /// disk-backed handle with a private `Frames(capacity)` budget.
     pub fn create(
         dir: &Path,
         prefix: &str,
         series: &TimeSeries,
         capacity: usize,
     ) -> Result<Self, IoError> {
-        Self::create_with(dir, prefix, series, &CacheBudgetHandle::frames(capacity), 0)
-    }
-
-    /// [`Self::create`] with an explicit (possibly shared) budget and a
-    /// prefetch depth (`0` disables read-ahead).
-    pub fn create_with(
-        dir: &Path,
-        prefix: &str,
-        series: &TimeSeries,
-        budget: &CacheBudgetHandle,
-        prefetch: usize,
-    ) -> Result<Self, IoError> {
-        Self::create_opts(dir, prefix, series, budget, prefetch, false)
-    }
-
-    /// [`Self::create_with`] with a choice of on-disk format: `compress`
-    /// writes bricked compressed `.rawz` containers (see [`crate::codec`]),
-    /// which the cache then charges at their smaller compressed size.
-    pub fn create_opts(
-        dir: &Path,
-        prefix: &str,
-        series: &TimeSeries,
-        budget: &CacheBudgetHandle,
-        prefetch: usize,
-        compress: bool,
-    ) -> Result<Self, IoError> {
-        let paths = write_series_with(dir, prefix, series, compress)?;
+        let paths = write_series(dir, prefix, series)?;
         Self::from_parts(
             series.dims(),
             series.steps().to_vec(),
             paths,
-            budget,
-            prefetch,
+            &CacheBudgetHandle::frames(capacity),
+            0,
         )
     }
 
@@ -891,7 +735,9 @@ impl OutOfCoreSeries {
     }
 
     /// [`Self::open`] with an explicit (possibly shared) budget and a
-    /// prefetch depth (`0` disables read-ahead).
+    /// prefetch depth (`0` disables read-ahead). Raw and compressed `.rawz`
+    /// frames (see [`crate::codec`]) may mix; each is charged its on-disk
+    /// size.
     pub fn open_with(
         paths: Vec<PathBuf>,
         budget: &CacheBudgetHandle,
@@ -911,6 +757,8 @@ impl OutOfCoreSeries {
         Self::from_parts(dims, steps, paths, budget, prefetch)
     }
 
+    /// Join `budget` and, with a nonzero `prefetch` depth, start the
+    /// read-ahead worker.
     fn from_parts(
         dims: Dims3,
         steps: Vec<u32>,
@@ -923,29 +771,37 @@ impl OutOfCoreSeries {
             charges.push(std::fs::metadata(p)?.len());
         }
         let max_charge = charges.iter().copied().max().unwrap_or(1).max(1);
-        let sc = Arc::new(SeriesCache {
-            cache: Mutex::new(Cache::new()),
-            cv: Condvar::new(),
-            group: AtomicU64::new(0),
+        let inner = Arc::new(Inner {
+            dims,
+            steps,
+            paths,
+            charges,
+            max_charge,
+            budget: budget.clone(),
+            id: budget.0.register(),
+            range: OnceLock::new(),
         });
-        budget.0.register(&sc);
-        let mut s = Self {
-            inner: Arc::new(Inner {
-                dims,
-                steps,
-                paths,
-                charges,
-                max_charge,
-                sc,
-                budget: budget.clone(),
-                range: Mutex::new(None),
-                fault: Mutex::new(None),
-            }),
-            prefetch_depth: 0,
-            worker: None,
-        };
-        s.set_prefetch(prefetch);
-        Ok(s)
+        let worker = (prefetch > 0).then(|| {
+            let inner = inner.clone();
+            let (tx, rx) = mpsc::channel::<(Vec<usize>, ifet_obs::Handle)>();
+            let handle = std::thread::Builder::new()
+                .name("ifet-ooc-prefetch".into())
+                .spawn(move || {
+                    for (idxs, obs) in rx {
+                        let _obs = obs.enter();
+                        for i in idxs {
+                            inner.prefetch_frame(i);
+                        }
+                    }
+                })
+                .expect("spawn prefetch worker");
+            PrefetchWorker { tx, handle }
+        });
+        Ok(Self {
+            inner,
+            prefetch_depth: prefetch,
+            worker,
+        })
     }
 
     pub fn dims(&self) -> Dims3 {
@@ -1007,25 +863,24 @@ impl OutOfCoreSeries {
     /// migrates the bytes already resident but not reads currently in
     /// flight.
     pub fn set_residency_group(&self, group: u64) {
-        let b = &self.inner.budget.0;
-        let mut st = b.state.lock().unwrap();
-        let old = self.inner.sc.group.swap(group, Ordering::Relaxed);
-        if old == group {
-            return;
-        }
-        let moved = self.inner.sc.cache.lock().unwrap().stats.resident_bytes;
-        if moved > 0 {
+        self.inner.budget.0.signal(|st| {
+            let m = st.member(self.inner.id);
+            let old = std::mem::replace(&mut m.group, group);
+            let moved = m.stats.resident_bytes;
+            if old == group || moved == 0 {
+                return;
+            }
             let og = st.group_mut(old);
             og.resident_bytes = og.resident_bytes.saturating_sub(moved);
             let ng = st.group_mut(group);
             ng.resident_bytes += moved;
             ng.hw_bytes = ng.hw_bytes.max(ng.resident_bytes + ng.inflight_bytes);
-        }
+        });
     }
 
     /// The residency group this series is assigned to.
     pub fn residency_group(&self) -> u64 {
-        self.inner.sc.group.load(Ordering::Relaxed)
+        self.inner.budget.0.state().member(self.inner.id).group
     }
 
     /// Read-ahead depth in frames (`0` = prefetch disabled).
@@ -1033,48 +888,18 @@ impl OutOfCoreSeries {
         self.prefetch_depth
     }
 
-    /// Start (or stop, with `0`) the background read-ahead worker. Hints
-    /// from `FrameSource::prefetch_hint` are clamped to `depth` frames.
-    pub fn set_prefetch(&mut self, depth: usize) {
-        if depth == self.prefetch_depth && (depth == 0) == self.worker.is_none() {
-            return;
-        }
-        self.stop_worker();
-        self.prefetch_depth = depth;
-        if depth == 0 {
-            return;
-        }
-        let inner = self.inner.clone();
-        let (tx, rx) = mpsc::channel::<PrefetchMsg>();
-        let handle = std::thread::Builder::new()
-            .name("ifet-ooc-prefetch".into())
-            .spawn(move || {
-                while let Ok(PrefetchMsg::Batch(idxs, obs)) = rx.recv() {
-                    let _obs = obs.enter();
-                    for i in idxs {
-                        inner.prefetch_frame(i);
-                    }
-                }
-            })
-            .expect("spawn prefetch worker");
-        self.worker = Some(PrefetchWorker { tx, handle });
-    }
-
     /// Queue read-ahead for `upcoming` frame indices (clamped to the
     /// configured depth). No-op when prefetch is disabled. Never blocks.
     pub fn request_prefetch(&self, upcoming: &[usize]) {
         let Some(w) = &self.worker else { return };
         let take = self.prefetch_depth.min(upcoming.len());
-        if take == 0 {
-            return;
-        }
         let batch: Vec<usize> = upcoming[..take]
             .iter()
             .copied()
             .filter(|&i| i < self.inner.paths.len())
             .collect();
         if !batch.is_empty() {
-            let _ = w.tx.send(PrefetchMsg::Batch(batch, ifet_obs::handle()));
+            let _ = w.tx.send((batch, ifet_obs::handle()));
         }
     }
 
@@ -1082,37 +907,27 @@ impl OutOfCoreSeries {
     /// the chaos suite: lets a test delay or transiently fail individual
     /// read attempts on both the demand and prefetch paths.
     pub fn set_read_fault_hook(&self, hook: Option<ReadFaultHook>) {
-        *self.inner.fault.lock().unwrap() = hook;
-    }
-
-    /// `(hits, misses)` so far (demand accesses only).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let c = self.inner.sc.cache.lock().unwrap();
-        (c.stats.hits, c.stats.misses)
+        self.inner.budget.0.state().member(self.inner.id).fault = hook;
     }
 
     /// Full paging statistics. Per-series traffic counters plus the shared
     /// budget's high-water marks (which include in-flight reads).
     pub fn stats(&self) -> CacheStats {
-        let b = self.inner.budget.stats();
-        let c = self.inner.sc.cache.lock().unwrap();
+        let mut st = self.inner.budget.0.state();
+        let (hw_frames, hw_bytes) = (st.hw_frames, st.hw_bytes);
+        let m = st.member(self.inner.id);
         CacheStats {
-            resident: c.map.len(),
-            resident_high_water: b.high_water_frames,
-            resident_high_water_bytes: b.high_water_bytes,
-            ..c.stats
+            resident: m.frames.len(),
+            resident_high_water: hw_frames,
+            resident_high_water_bytes: hw_bytes,
+            ..m.stats
         }
-    }
-
-    /// Frames currently resident (this series).
-    pub fn resident(&self) -> usize {
-        self.inner.sc.cache.lock().unwrap().map.len()
     }
 
     /// Global `(min, max)` across all frames, computed by one streaming scan
     /// in ascending frame order and memoized.
     pub(crate) fn global_range_cached(&self) -> Result<(f32, f32), IoError> {
-        if let Some(r) = *self.inner.range.lock().unwrap() {
+        if let Some(&r) = self.inner.range.get() {
             return Ok(r);
         }
         let mut lo = f32::INFINITY;
@@ -1123,8 +938,7 @@ impl OutOfCoreSeries {
             hi = hi.max(b);
         }
         let r = if lo > hi { (0.0, 0.0) } else { (lo, hi) };
-        *self.inner.range.lock().unwrap() = Some(r);
-        Ok(r)
+        Ok(*self.inner.range.get_or_init(|| r))
     }
 
     /// Materialize the whole series in core (only for small data / tests).
@@ -1135,25 +949,24 @@ impl OutOfCoreSeries {
         }
         Ok(TimeSeries::from_frames(frames))
     }
-
-    fn stop_worker(&mut self) {
-        if let Some(w) = self.worker.take() {
-            let _ = w.tx.send(PrefetchMsg::Stop);
-            let _ = w.handle.join();
-        }
-    }
 }
 
 impl Drop for OutOfCoreSeries {
+    /// Stop the read-ahead worker: a closed channel ends it once it has
+    /// served what is already queued.
     fn drop(&mut self) {
-        self.stop_worker();
+        if let Some(PrefetchWorker { tx, handle }) = self.worker.take() {
+            drop(tx);
+            let _ = handle.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use crate::io::write_series_with;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn sample_series() -> TimeSeries {
         let d = Dims3::cube(8);
@@ -1171,6 +984,19 @@ mod tests {
     }
 
     const FB: u64 = 8 * 8 * 8 * 4; // bytes per sample_series frame
+
+    /// Write `s` under `dir` (as compressed `.rawz` when `compress`) and page
+    /// it through `budget`.
+    fn paged(
+        dir: &Path,
+        s: &TimeSeries,
+        budget: &CacheBudgetHandle,
+        prefetch: usize,
+        compress: bool,
+    ) -> OutOfCoreSeries {
+        let paths = write_series_with(dir, "f", s, compress).unwrap();
+        OutOfCoreSeries::open_with(paths, budget, prefetch).unwrap()
+    }
 
     #[test]
     fn create_and_read_frames() {
@@ -1194,7 +1020,11 @@ mod tests {
         for i in 0..6 {
             let _ = ooc.frame(i).unwrap();
         }
-        assert!(ooc.resident() <= 2, "resident {}", ooc.resident());
+        assert!(
+            ooc.stats().resident <= 2,
+            "resident {}",
+            ooc.stats().resident
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1206,9 +1036,9 @@ mod tests {
         let _ = ooc.frame(0).unwrap();
         let _ = ooc.frame(0).unwrap();
         let _ = ooc.frame(0).unwrap();
-        let (hits, misses) = ooc.cache_stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 2);
+        let st = ooc.stats();
+        assert_eq!(st.misses, 1);
+        assert_eq!(st.hits, 2);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1221,14 +1051,12 @@ mod tests {
         let _ = ooc.frame(1).unwrap();
         let _ = ooc.frame(0).unwrap(); // refresh 0
         let _ = ooc.frame(2).unwrap(); // evicts 1
-        let (h0, _) = ooc.cache_stats();
+        let h0 = ooc.stats().hits;
         let _ = ooc.frame(0).unwrap(); // still resident -> hit
-        let (h1, _) = ooc.cache_stats();
-        assert_eq!(h1, h0 + 1);
-        let (_, m0) = ooc.cache_stats();
+        assert_eq!(ooc.stats().hits, h0 + 1);
+        let m0 = ooc.stats().misses;
         let _ = ooc.frame(1).unwrap(); // was evicted -> miss
-        let (_, m1) = ooc.cache_stats();
-        assert_eq!(m1, m0 + 1);
+        assert_eq!(ooc.stats().misses, m0 + 1);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1316,7 +1144,7 @@ mod tests {
         let s = sample_series();
         // Room for exactly three frames.
         let budget = CacheBudgetHandle::bytes(3 * FB);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 0).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, false);
         assert_eq!(ooc.capacity(), 3);
         for i in 0..6 {
             let _ = ooc.frame(i).unwrap();
@@ -1327,13 +1155,13 @@ mod tests {
         assert!(st.resident_high_water_bytes <= 3 * FB);
         assert_eq!(st.evictions, 3);
         // True LRU under byte charging: the last three frames are resident.
-        let (h0, _) = ooc.cache_stats();
+        let h0 = ooc.stats().hits;
         let _ = ooc.frame(3).unwrap();
         let _ = ooc.frame(4).unwrap();
         let _ = ooc.frame(5).unwrap();
-        let (h1, m) = ooc.cache_stats();
-        assert_eq!(h1, h0 + 3, "frames 3..6 must all be hits");
-        assert_eq!(m, 6);
+        let st = ooc.stats();
+        assert_eq!(st.hits, h0 + 3, "frames 3..6 must all be hits");
+        assert_eq!(st.misses, 6);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1342,7 +1170,7 @@ mod tests {
         let dir = tmpdir("tiny");
         let s = sample_series();
         let budget = CacheBudgetHandle::bytes(FB / 2);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 0).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, false);
         assert_eq!(ooc.capacity(), 1);
         for i in 0..6 {
             assert_eq!(ooc.frame(i).unwrap().as_slice()[0], i as f32);
@@ -1358,14 +1186,14 @@ mod tests {
         let dir = tmpdir("shared");
         let s = sample_series();
         let budget = CacheBudgetHandle::new(CacheBudget::Frames(2));
-        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
-        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
+        let a = paged(&dir.join("a"), &s, &budget, 0, false);
+        let b = paged(&dir.join("b"), &s, &budget, 0, false);
         let _ = a.frame(0).unwrap();
         let _ = a.frame(1).unwrap();
-        assert_eq!(a.resident(), 2);
+        assert_eq!(a.stats().resident, 2);
         // Loading into `b` must evict from `a`: the budget is global.
         let _ = b.frame(0).unwrap();
-        assert_eq!(a.resident() + b.resident(), 2);
+        assert_eq!(a.stats().resident + b.stats().resident, 2);
         assert_eq!(a.stats().evictions, 1, "a's LRU frame paid for b's load");
         let bs = budget.stats();
         assert_eq!(bs.resident_frames, 2);
@@ -1380,8 +1208,8 @@ mod tests {
         // Roomy global budget: quota pressure, not global pressure, must
         // drive every eviction in this test.
         let budget = CacheBudgetHandle::frames(8);
-        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
-        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
+        let a = paged(&dir.join("a"), &s, &budget, 0, false);
+        let b = paged(&dir.join("b"), &s, &budget, 0, false);
         a.set_residency_group(1);
         b.set_residency_group(2);
         budget.set_group_quota(1, Some(2 * FB));
@@ -1406,8 +1234,8 @@ mod tests {
         // Quota-local, not global: b kept everything, a evicted only its own.
         assert_eq!(b.stats().evictions, 0, "b must be untouched by a's quota");
         assert_eq!(a.stats().evictions, 4);
-        assert_eq!(a.resident(), 2);
-        assert_eq!(b.resident(), 2);
+        assert_eq!(a.stats().resident, 2);
+        assert_eq!(b.stats().resident, 2);
         assert_eq!(budget.group_stats(2).quota_evictions, 0);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1417,7 +1245,7 @@ mod tests {
         let dir = tmpdir("quotafloor");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(8);
-        let a = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 0).unwrap();
+        let a = paged(&dir, &s, &budget, 0, false);
         a.set_residency_group(1);
         budget.set_group_quota(1, Some(FB / 2));
         // The per-group single-frame floor: reads proceed, one frame at a
@@ -1426,7 +1254,7 @@ mod tests {
             assert_eq!(a.frame(i).unwrap().as_slice()[0], i as f32);
         }
         assert!(budget.group_stats(1).high_water_bytes <= FB);
-        assert_eq!(a.resident(), 1);
+        assert_eq!(a.stats().resident, 1);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1435,8 +1263,8 @@ mod tests {
         let dir = tmpdir("idleevict");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(2);
-        let a = OutOfCoreSeries::create_with(&dir.join("a"), "f", &s, &budget, 0).unwrap();
-        let b = OutOfCoreSeries::create_with(&dir.join("b"), "f", &s, &budget, 0).unwrap();
+        let a = paged(&dir.join("a"), &s, &budget, 0, false);
+        let b = paged(&dir.join("b"), &s, &budget, 0, false);
         a.set_residency_group(1);
         b.set_residency_group(2);
         let _ = a.frame(0).unwrap(); // globally least recent
@@ -1445,8 +1273,8 @@ mod tests {
         // frame even though a holds the global LRU.
         budget.group_enter(1);
         let _ = a.frame(1).unwrap();
-        assert_eq!(a.resident(), 2, "active group kept its LRU frame");
-        assert_eq!(b.resident(), 0, "idle group's frame was the victim");
+        assert_eq!(a.stats().resident, 2, "active group kept its LRU frame");
+        assert_eq!(b.stats().resident, 0, "idle group's frame was the victim");
         let bs = budget.stats();
         assert_eq!(bs.idle_evictions, 1, "the eviction was redirected");
         assert!(bs.high_water_frames <= 2, "the global bound still holds");
@@ -1454,8 +1282,8 @@ mod tests {
         // load takes a's oldest frame.
         budget.group_exit(1);
         let _ = b.frame(0).unwrap();
-        assert_eq!(a.resident(), 1);
-        assert_eq!(b.resident(), 1);
+        assert_eq!(a.stats().resident, 1);
+        assert_eq!(b.stats().resident, 1);
         assert_eq!(
             budget.stats().idle_evictions,
             1,
@@ -1469,7 +1297,7 @@ mod tests {
         let dir = tmpdir("prefetch");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(4);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 2).unwrap();
+        let ooc = paged(&dir, &s, &budget, 2, false);
         assert_eq!(ooc.prefetch_depth(), 2);
         ooc.request_prefetch(&[0, 1, 2, 3]); // clamped to depth 2
                                              // Wait for the worker to commit both frames.
@@ -1505,7 +1333,7 @@ mod tests {
         let dir = tmpdir("prefhw");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(2);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 4).unwrap();
+        let ooc = paged(&dir, &s, &budget, 4, false);
         // Walk the series with aggressive read-ahead; the budget (which
         // charges in-flight reads too) must never be exceeded.
         for i in 0..6 {
@@ -1550,7 +1378,7 @@ mod tests {
         let dir = tmpdir("prefail");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(3);
-        let ooc = OutOfCoreSeries::create_with(&dir, "f", &s, &budget, 2).unwrap();
+        let ooc = paged(&dir, &s, &budget, 2, false);
         // Fail the first three read attempts of frame 1 (exhausting the
         // prefetch worker's retries), then succeed.
         let calls = Arc::new(AtomicU32::new(0));
@@ -1578,14 +1406,44 @@ mod tests {
     }
 
     #[test]
+    fn panicking_read_gives_its_reservation_back() {
+        let dir = tmpdir("panic");
+        let s = sample_series();
+        let budget = CacheBudgetHandle::frames(2);
+        let ooc = Arc::new(paged(&dir, &s, &budget, 0, false));
+        let first = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        ooc.set_read_fault_hook(Some(Arc::new(move |frame, _| {
+            if frame == 1 && first.swap(false, Ordering::SeqCst) {
+                panic!("injected panic in the fault hook");
+            }
+            None
+        })));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ooc.frame(1)));
+        assert!(caught.is_err(), "the hook's panic reaches the reader");
+        // A later reader of the same frame must not wait on the abandoned
+        // read: it loads the frame itself.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = ooc.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(reader.frame(1).map(|v| v.as_slice()[0]));
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("frame(1) still blocked on the panicked read");
+        assert_eq!(got.unwrap(), 1.0);
+        assert_eq!(budget.stats().inflight_frames, 0);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn global_range_cached_scans_once() {
         let dir = tmpdir("range");
         let s = sample_series();
         let ooc = OutOfCoreSeries::create(&dir, "f", &s, 1).unwrap();
         assert_eq!(ooc.global_range_cached().unwrap(), s.global_range());
-        let (_, misses_before) = ooc.cache_stats();
+        let misses_before = ooc.stats().misses;
         assert_eq!(ooc.global_range_cached().unwrap(), s.global_range());
-        let (_, misses_after) = ooc.cache_stats();
+        let misses_after = ooc.stats().misses;
         assert_eq!(misses_before, misses_after, "second call must be memoized");
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1604,7 +1462,7 @@ mod tests {
         let dir = tmpdir("zcharge");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(1);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, true);
         assert_eq!(ooc.load_all().unwrap(), s, "compressed paging is lossless");
         let st = ooc.stats();
         assert!(
@@ -1629,7 +1487,7 @@ mod tests {
         let s = sample_series();
         // One raw frame's worth of budget holds several compressed frames.
         let budget = CacheBudgetHandle::bytes(FB);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, true);
         assert!(
             ooc.capacity() > 1,
             "capacity {} should exceed one frame under compression",
@@ -1649,7 +1507,7 @@ mod tests {
         let dir = tmpdir("zcorrupt");
         let s = sample_series();
         let budget = CacheBudgetHandle::frames(1);
-        let ooc = OutOfCoreSeries::create_opts(&dir, "f", &s, &budget, 0, true).unwrap();
+        let ooc = paged(&dir, &s, &budget, 0, true);
         let p = ooc.paths()[2].clone();
         let mut bytes = std::fs::read(&p).unwrap();
         let last = bytes.len() - 1;

@@ -86,8 +86,9 @@ pub trait FrameSource: Sync {
     /// Hint that `upcoming` frame indices will be requested soon, in order.
     ///
     /// Purely advisory: a source may warm its cache in the background (see
-    /// `OutOfCoreSeries::set_prefetch`), clamp the hint to its configured
-    /// read-ahead depth, or ignore it entirely — the default does nothing.
+    /// the prefetch depth of `OutOfCoreSeries::open_with`), clamp the hint
+    /// to its read-ahead depth, or ignore it entirely — the default does
+    /// nothing.
     /// Acting on a hint must never change what `frame(i)` returns, only how
     /// fast it returns; [`map_frames_windowed`] issues hints for the next
     /// window while the current one computes.

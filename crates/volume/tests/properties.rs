@@ -571,6 +571,55 @@ proptest! {
     }
 }
 
+proptest! {
+    /// One budget-wide recency order: two or three series on one
+    /// `Frames(k)` budget behave exactly like a single reference LRU list
+    /// over `(series, frame)` keys. After every access each series' hits,
+    /// misses, evictions and resident count match the reference; at the end
+    /// every frame the reference holds is still resident (re-touching it
+    /// cannot miss).
+    #[test]
+    fn lru_shared_budget_matches_reference_lru(
+        capacity in 1usize..6,
+        n_series in 2usize..4,
+        accesses in proptest::collection::vec((0usize..3, 0usize..OOC_FRAMES), 1..60),
+    ) {
+        let (series, paths) = ooc_fixture();
+        let budget = ifet_volume::CacheBudgetHandle::frames(capacity);
+        let members: Vec<_> = (0..n_series)
+            .map(|_| ifet_volume::OutOfCoreSeries::open_with(paths.clone(), &budget, 0).unwrap())
+            .collect();
+        // Least recent first.
+        let mut lru: Vec<(usize, usize)> = Vec::new();
+        let mut want = vec![(0u64, 0u64, 0u64); n_series]; // (hits, misses, evictions)
+        for &(s, i) in &accesses {
+            let s = s % n_series;
+            if let Some(pos) = lru.iter().position(|&k| k == (s, i)) {
+                lru.remove(pos);
+                want[s].0 += 1;
+            } else {
+                want[s].1 += 1;
+                if lru.len() == capacity {
+                    want[lru.remove(0).0].2 += 1;
+                }
+            }
+            lru.push((s, i));
+            prop_assert_eq!(&*members[s].frame(i).unwrap(), series.frame(i));
+            for (k, m) in members.iter().enumerate() {
+                let st = m.stats();
+                prop_assert_eq!((st.hits, st.misses, st.evictions), want[k], "series {}", k);
+                let resident = lru.iter().filter(|e| e.0 == k).count();
+                prop_assert_eq!(st.resident, resident, "series {}", k);
+            }
+        }
+        for &(s, i) in &lru {
+            let misses = members[s].stats().misses;
+            let _ = members[s].frame(i).unwrap();
+            prop_assert_eq!(members[s].stats().misses, misses, "({}, {}) was evicted", s, i);
+        }
+    }
+}
+
 /// Dropping a series hands its resident frames back to the shared budget.
 /// Before, they stayed charged with no evictor able to reach them, so one
 /// closed series shrank every other member's budget and the high-water

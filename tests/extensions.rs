@@ -177,7 +177,7 @@ fn out_of_core_series_supports_the_iatf_workflow() {
         // Touch only the key frames through the paging layer.
         let _ = ooc.frame_at_step(t).unwrap().unwrap();
     }
-    assert!(ooc.resident() <= 2);
+    assert!(ooc.stats().resident <= 2);
     session.train_iatf(IatfParams {
         epochs: 100,
         ..Default::default()
@@ -189,7 +189,7 @@ fn out_of_core_series_supports_the_iatf_workflow() {
         let frame = ooc.frame(i).unwrap();
         let tf = iatf.generate(t, &frame);
         assert!(tf.support(0.5).is_some(), "t={t}: band lost");
-        assert!(ooc.resident() <= 2, "paging violated its budget");
+        assert!(ooc.stats().resident <= 2, "paging violated its budget");
     }
     std::fs::remove_dir_all(dir).ok();
 }

@@ -84,38 +84,10 @@ fn bench_region_grow_and_components(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_svm_vs_nn_prediction(c: &mut Criterion) {
-    use ifet_nn::{Svm, SvmParams};
-    // Cost per prediction: the Section 3 "cost and performance tradeoffs
-    // remain to be evaluated" comparison.
-    let inputs: Vec<Vec<f32>> = (0..200)
-        .map(|i| vec![(i % 20) as f32 / 20.0, (i / 20) as f32 / 10.0, 0.5])
-        .collect();
-    let labels: Vec<f32> = inputs
-        .iter()
-        .map(|x| if x[0] + x[1] > 1.0 { 1.0 } else { 0.0 })
-        .collect();
-    let svm = Svm::train(&inputs, &labels, SvmParams::default());
-    let net = Mlp::three_layer(3, 12, 0);
-    let mut scratch = Scratch::for_net(&net);
-    let probe = [0.4f32, 0.6, 0.5];
-
-    let mut g = c.benchmark_group("engine_prediction");
-    g.bench_function("nn_3x12", |b| {
-        b.iter(|| black_box(net.predict1(&probe, &mut scratch)))
-    });
-    g.bench_function(
-        format!("svm_{}sv", svm.num_support_vectors()).as_str(),
-        |b| b.iter(|| black_box(svm.predict(&probe))),
-    );
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_shell_sampling,
     bench_mlp_forward,
-    bench_region_grow_and_components,
-    bench_svm_vs_nn_prediction
+    bench_region_grow_and_components
 );
 criterion_main!(benches);

@@ -95,8 +95,8 @@ pub struct Args {
 }
 
 /// Parse raw arguments (after the binary name). `--flag v` options may
-/// repeat; repeated values accumulate. An option outside [`BOOL_FLAGS`] and
-/// [`VALUE_OPTIONS`] is an error.
+/// repeat; repeated values accumulate. An option that is neither a known
+/// boolean flag nor a known value option is an error.
 pub fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut it = raw.iter().peekable();
     let command = it.next().ok_or("missing subcommand")?.clone();

@@ -70,10 +70,10 @@ pub mod prelude {
         VisSession,
     };
     pub use ifet_extract::{
-        ClassifierParams, DataSpaceClassifier, FeatureExtractor, FeatureSpec, LearningEngine,
-        PaintOracle, ShellMode, TrainError,
+        ClassifierParams, DataSpaceClassifier, FeatureExtractor, FeatureSpec, PaintOracle,
+        ShellMode, TrainError,
     };
-    pub use ifet_nn::{Activation, Kernel, Mlp, Svm, SvmParams, TrainParams};
+    pub use ifet_nn::{Activation, Mlp, TrainParams};
     pub use ifet_render::{Camera, Image, RenderParams, Renderer};
     pub use ifet_sim::LabeledSeries;
     pub use ifet_tf::{ColorMap, Iatf, IatfBuilder, IatfParams, TransferFunction1D};

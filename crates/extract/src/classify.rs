@@ -3,23 +3,13 @@
 use crate::features::FeatureExtractor;
 use crate::paint::PaintSet;
 use ifet_nn::mlp::Scratch;
-use ifet_nn::{Activation, Mlp, Normalizer, Svm, SvmParams, TrainParams, Trainer, TrainingSet};
+use ifet_nn::{Activation, Mlp, Normalizer, TrainParams, Trainer, TrainingSet};
 use ifet_obs as obs;
 use ifet_volume::{
     FrameSink, FrameSource, Mask3, MultiSeries, MultiVolume, ScalarVolume, SeriesError,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// The supervised learner behind a classifier. The paper uses a neural
-/// network throughout but reports promising SVM results (Section 8); both
-/// engines expose the same certainty-in-`[0,1]` interface so they are
-/// interchangeable here.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LearningEngine {
-    NeuralNet(Mlp),
-    SupportVector(Svm),
-}
 
 /// Scanline run width for every `classify_*` entry point: each x-row is
 /// classified in runs of this many voxels. Output is bit-identical to the
@@ -29,7 +19,7 @@ const BATCH_ROWS: usize = 64;
 /// Per-predictor buffers: the feature vector under construction, the MLP
 /// forward-pass scratch, and the batch-row staging buffers. `Scratch`
 /// self-sizes on first use, so a default-constructed instance works for
-/// either engine.
+/// any network.
 #[derive(Debug, Default)]
 struct PredictBuffers {
     features: Vec<f32>,
@@ -48,14 +38,6 @@ struct Predictor<'a> {
 }
 
 impl Predictor<'_> {
-    #[inline]
-    fn predict_engine(engine: &LearningEngine, x: &[f32], scratch: &mut Scratch) -> f32 {
-        match engine {
-            LearningEngine::NeuralNet(net) => net.predict1(x, scratch),
-            LearningEngine::SupportVector(svm) => svm.predict(x),
-        }
-    }
-
     /// Certainty for one voxel of a scalar frame.
     #[inline]
     fn predict_at(&mut self, frame: &ScalarVolume, x: usize, y: usize, z: usize, tn: f32) -> f32 {
@@ -64,7 +46,7 @@ impl Predictor<'_> {
         } = &mut self.bufs;
         self.clf.extractor.vector_into(frame, x, y, z, tn, features);
         self.clf.normalizer.apply(features);
-        Self::predict_engine(&self.clf.engine, features, scratch)
+        self.clf.net.predict1(features, scratch)
     }
 
     /// Batched prediction: normalize the staged rows (each `nf` wide) and
@@ -86,17 +68,8 @@ impl Predictor<'_> {
         // Fill depth varies with the volume's x extent, so this is a runtime
         // counter (stripped from stable traces).
         obs::counter_runtime("extract.batch.fill", out.len() as u64);
-        match &self.clf.engine {
-            LearningEngine::NeuralNet(net) => {
-                net.predict_batch(rows, scratch, outs);
-                out.copy_from_slice(outs);
-            }
-            LearningEngine::SupportVector(svm) => {
-                for (o, row) in out.iter_mut().zip(rows.chunks_exact(nf)) {
-                    *o = svm.predict(row);
-                }
-            }
-        }
+        self.clf.net.predict_batch(rows, scratch, outs);
+        out.copy_from_slice(outs);
     }
 
     /// Certainties for the run of `out.len()` voxels starting at `(x0, y, z)`
@@ -180,7 +153,7 @@ impl Default for ClassifierParams {
 pub struct DataSpaceClassifier {
     extractor: FeatureExtractor,
     normalizer: Normalizer,
-    engine: LearningEngine,
+    net: Mlp,
     final_loss: f32,
     /// `Some(n)` for a [`Self::train_multi`] model over `n` variables;
     /// `None` for scalar models. Determines the expected feature width.
@@ -188,7 +161,7 @@ pub struct DataSpaceClassifier {
 }
 
 /// The serializable identity of a trained [`DataSpaceClassifier`]: feature
-/// spec, fitted normalizer, learned engine weights, the recorded training
+/// spec, fitted normalizer, network weights, the recorded training
 /// loss, and (for `train_multi` models) the multivariate width. Everything
 /// needed to rebuild an identical classifier with
 /// [`DataSpaceClassifier::from_snapshot`].
@@ -196,7 +169,7 @@ pub struct DataSpaceClassifier {
 pub struct ClassifierSnapshot {
     pub spec: crate::features::FeatureSpec,
     pub normalizer: Normalizer,
-    pub engine: LearningEngine,
+    pub net: Mlp,
     pub final_loss: f32,
     /// Number of variables a `train_multi` model was trained over; `None`
     /// for scalar models.
@@ -207,13 +180,20 @@ pub struct ClassifierSnapshot {
 // and treated as `None` when missing, so snapshots written before the field
 // existed still load, old readers skip it by name, and save→load→save stays
 // byte-identical for both generations (derive would hard-error on the
-// missing field).
+// missing field). The network is written as `"engine":{"NeuralNet":[<Mlp>]}`,
+// the encoding of the one-element tuple variant the format has always
+// used; any other engine tag is a load error.
+const ENGINE_TAG: &str = "NeuralNet";
+
 impl Serialize for ClassifierSnapshot {
     fn to_value(&self) -> serde::Value {
         let mut pairs = vec![
             ("spec".to_string(), self.spec.to_value()),
             ("normalizer".to_string(), self.normalizer.to_value()),
-            ("engine".to_string(), self.engine.to_value()),
+            (
+                "engine".to_string(),
+                serde::vhelp::variant(ENGINE_TAG, serde::Value::Array(vec![self.net.to_value()])),
+            ),
             ("final_loss".to_string(), self.final_loss.to_value()),
         ];
         if let Some(nv) = self.multi_vars {
@@ -229,10 +209,22 @@ impl Deserialize for ClassifierSnapshot {
             None | Some(serde::Value::Null) => None,
             Some(mv) => Some(usize::from_value(mv)?),
         };
+        let spec = Deserialize::from_value(serde::vhelp::field(v, "spec")?)?;
+        let normalizer = Deserialize::from_value(serde::vhelp::field(v, "normalizer")?)?;
+        let net = match serde::vhelp::untag(serde::vhelp::field(v, "engine")?)? {
+            (ENGINE_TAG, Some(payload)) => {
+                Deserialize::from_value(serde::vhelp::element(payload, 0)?)?
+            }
+            (tag, _) => {
+                return Err(serde::DeError::new(format!(
+                    "learning engine must be `{ENGINE_TAG}` with a network, got `{tag}`"
+                )))
+            }
+        };
         Ok(Self {
-            spec: Deserialize::from_value(serde::vhelp::field(v, "spec")?)?,
-            normalizer: Deserialize::from_value(serde::vhelp::field(v, "normalizer")?)?,
-            engine: Deserialize::from_value(serde::vhelp::field(v, "engine")?)?,
+            spec,
+            normalizer,
+            net,
             final_loss: Deserialize::from_value(serde::vhelp::field(v, "final_loss")?)?,
             multi_vars,
         })
@@ -246,9 +238,9 @@ impl Deserialize for ClassifierSnapshot {
 pub enum SnapshotError {
     /// The feature spec selects no properties at all.
     EmptySpec,
-    /// Normalizer or engine input width disagrees with the feature spec.
+    /// Normalizer or network input width disagrees with the feature spec.
     FeatureCountMismatch { expected: usize, got: usize },
-    /// The engine's weight tensors are internally inconsistent.
+    /// The network's weight tensors are internally inconsistent.
     BadNetwork(String),
 }
 
@@ -311,40 +303,40 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Fitted normalizer plus normalized training rows and their labels.
-type TrainingRows = (Normalizer, Vec<Vec<f32>>, Vec<f32>);
-
-/// Assemble normalized `(rows, labels)` from painted frames. Only the
-/// painted frames are touched, one at a time — exactly the paper's argument
-/// that training needs just the key frames in core (§4.2.2).
-fn assemble_rows<S: FrameSource + ?Sized>(
-    extractor: &FeatureExtractor,
-    series: &S,
-    paints: &[PaintSet],
-) -> Result<TrainingRows, TrainError> {
-    if paints.is_empty() {
-        return Err(TrainError::NoPaintedFrames);
-    }
-    let mut rows: Vec<Vec<f32>> = Vec::new();
-    let mut labels: Vec<f32> = Vec::new();
-    let mut buf = Vec::new();
-    for set in paints {
-        let frame = series
-            .frame_at_step(set.step)?
-            .ok_or(TrainError::PaintedStepNotInSeries { step: set.step })?;
-        let tn = series.normalized_time(set.step);
-        for ((x, y, z), label) in set.iter() {
-            extractor.vector_into(&frame, x, y, z, tn, &mut buf);
-            rows.push(buf.clone());
-            labels.push(label);
-        }
-    }
+/// Fit the normalizer to the painted feature rows, then train an
+/// `n_in → hidden → 1` sigmoid perceptron on the normalized rows. Returns the
+/// normalizer, the network and the mean loss of its final epoch.
+fn fit(
+    rows: &[Vec<f32>],
+    labels: &[f32],
+    n_in: usize,
+    params: ClassifierParams,
+) -> Result<(Normalizer, Mlp, f32), TrainError> {
     if rows.is_empty() {
         return Err(TrainError::NoPaintedVoxels);
     }
-    let normalizer = Normalizer::fit(&rows);
-    let rows = rows.iter().map(|r| normalizer.transform(r)).collect();
-    Ok((normalizer, rows, labels))
+    let normalizer = Normalizer::fit(rows);
+    let mut train_set = TrainingSet::new();
+    for (row, &label) in rows.iter().zip(labels) {
+        train_set.add1(normalizer.transform(row), label);
+    }
+    let mut net = Mlp::new(
+        &[n_in, params.hidden, 1],
+        Activation::Sigmoid,
+        Activation::Sigmoid,
+        params.seed,
+    )
+    .map_err(|e| TrainError::Model {
+        reason: e.to_string(),
+    })?;
+    let mut trainer = Trainer::new(TrainParams {
+        learning_rate: params.learning_rate,
+        momentum: params.momentum,
+        seed: params.seed,
+    });
+    let losses = trainer.train(&mut net, &train_set, params.epochs);
+    let final_loss = losses.last().copied().unwrap_or(f32::NAN);
+    Ok((normalizer, net, final_loss))
 }
 
 impl DataSpaceClassifier {
@@ -353,66 +345,37 @@ impl DataSpaceClassifier {
     /// (looked up by the paint set's step label in `series`).
     ///
     /// Training is per-voxel: every painted voxel contributes one
-    /// `(feature vector, label)` row.
+    /// `(feature vector, label)` row. Only the painted frames are touched,
+    /// one at a time — exactly the paper's argument that training needs just
+    /// the key frames in core (§4.2.2).
     pub fn train<S: FrameSource + ?Sized>(
         extractor: FeatureExtractor,
         series: &S,
         paints: &[PaintSet],
         params: ClassifierParams,
     ) -> Result<Self, TrainError> {
-        let (normalizer, rows, labels) = assemble_rows(&extractor, series, paints)?;
-        let mut train_set = TrainingSet::new();
-        for (row, &label) in rows.iter().zip(&labels) {
-            train_set.add1(row.clone(), label);
+        if paints.is_empty() {
+            return Err(TrainError::NoPaintedFrames);
         }
-
-        let mut net = Mlp::new(
-            &[extractor.num_features(), params.hidden, 1],
-            Activation::Sigmoid,
-            Activation::Sigmoid,
-            params.seed,
-        )
-        .map_err(|e| TrainError::Model {
-            reason: e.to_string(),
-        })?;
-        let mut trainer = Trainer::new(TrainParams {
-            learning_rate: params.learning_rate,
-            momentum: params.momentum,
-            seed: params.seed,
-        });
-        let losses = trainer.train(&mut net, &train_set, params.epochs);
-        let final_loss = losses.last().copied().unwrap_or(f32::NAN);
-
+        let mut rows: Vec<Vec<f32>> = Vec::new();
+        let mut labels: Vec<f32> = Vec::new();
+        let mut buf = Vec::new();
+        for set in paints {
+            let frame = series
+                .frame_at_step(set.step)?
+                .ok_or(TrainError::PaintedStepNotInSeries { step: set.step })?;
+            let tn = series.normalized_time(set.step);
+            for ((x, y, z), label) in set.iter() {
+                extractor.vector_into(&frame, x, y, z, tn, &mut buf);
+                rows.push(buf.clone());
+                labels.push(label);
+            }
+        }
+        let (normalizer, net, final_loss) = fit(&rows, &labels, extractor.num_features(), params)?;
         Ok(Self {
             extractor,
             normalizer,
-            engine: LearningEngine::NeuralNet(net),
-            final_loss,
-            multi_vars: None,
-        })
-    }
-
-    /// Train a support-vector-machine classifier on the same painted rows —
-    /// the alternative engine of the paper's Section 8. `final_loss` reports
-    /// the training-set misclassification rate.
-    pub fn train_svm<S: FrameSource + ?Sized>(
-        extractor: FeatureExtractor,
-        series: &S,
-        paints: &[PaintSet],
-        params: SvmParams,
-    ) -> Result<Self, TrainError> {
-        let (normalizer, rows, labels) = assemble_rows(&extractor, series, paints)?;
-        let svm = Svm::train(&rows, &labels, params);
-        let errors = rows
-            .iter()
-            .zip(&labels)
-            .filter(|(r, &l)| (svm.predict(r) >= 0.5) != (l >= 0.5))
-            .count();
-        let final_loss = errors as f32 / rows.len() as f32;
-        Ok(Self {
-            extractor,
-            normalizer,
-            engine: LearningEngine::SupportVector(svm),
+            net,
             final_loss,
             multi_vars: None,
         })
@@ -431,7 +394,7 @@ impl DataSpaceClassifier {
         ClassifierSnapshot {
             spec: *self.extractor.spec(),
             normalizer: self.normalizer.clone(),
-            engine: self.engine.clone(),
+            net: self.net.clone(),
             final_loss: self.final_loss,
             multi_vars: self.multi_vars,
         }
@@ -456,31 +419,26 @@ impl DataSpaceClassifier {
                 got: snap.normalizer.num_features(),
             });
         }
-        match &snap.engine {
-            LearningEngine::NeuralNet(net) => {
-                net.validate_shape().map_err(SnapshotError::BadNetwork)?;
-                let sizes = net.layer_sizes();
-                if sizes[0] != n {
-                    return Err(SnapshotError::FeatureCountMismatch {
-                        expected: n,
-                        got: sizes[0],
-                    });
-                }
-                if *sizes.last().unwrap() != 1 {
-                    return Err(SnapshotError::BadNetwork(format!(
-                        "classifier network must emit one certainty, has {} outputs",
-                        sizes.last().unwrap()
-                    )));
-                }
-            }
-            LearningEngine::SupportVector(svm) => {
-                svm.validate_shape(n).map_err(SnapshotError::BadNetwork)?;
-            }
+        snap.net
+            .validate_shape()
+            .map_err(SnapshotError::BadNetwork)?;
+        let sizes = snap.net.layer_sizes();
+        if sizes[0] != n {
+            return Err(SnapshotError::FeatureCountMismatch {
+                expected: n,
+                got: sizes[0],
+            });
+        }
+        if *sizes.last().unwrap() != 1 {
+            return Err(SnapshotError::BadNetwork(format!(
+                "classifier network must emit one certainty, has {} outputs",
+                sizes.last().unwrap()
+            )));
         }
         Ok(Self {
             extractor,
             normalizer: snap.normalizer,
-            engine: snap.engine,
+            net: snap.net,
             final_loss: snap.final_loss,
             multi_vars: snap.multi_vars,
         })
@@ -492,7 +450,7 @@ impl DataSpaceClassifier {
         self.multi_vars
     }
 
-    /// Mean MSE of the final training epoch (NN) or training error rate (SVM).
+    /// Mean MSE of the final training epoch.
     pub fn final_loss(&self) -> f32 {
         self.final_loss
     }
@@ -501,17 +459,9 @@ impl DataSpaceClassifier {
         &self.extractor
     }
 
-    /// The underlying learning engine.
-    pub fn engine(&self) -> &LearningEngine {
-        &self.engine
-    }
-
-    /// The neural network, or `None` for an SVM engine.
-    pub fn network(&self) -> Option<&Mlp> {
-        match &self.engine {
-            LearningEngine::NeuralNet(net) => Some(net),
-            LearningEngine::SupportVector(_) => None,
-        }
+    /// The trained network.
+    pub fn network(&self) -> &Mlp {
+        &self.net
     }
 
     /// Train a neural-network classifier on *multivariate* frames: every
@@ -543,36 +493,12 @@ impl DataSpaceClassifier {
                 labels.push(label);
             }
         }
-        if rows.is_empty() {
-            return Err(TrainError::NoPaintedVoxels);
-        }
-        let normalizer = Normalizer::fit(&rows);
-        let mut train_set = TrainingSet::new();
-        for (row, &label) in rows.iter().zip(&labels) {
-            train_set.add1(normalizer.transform(row), label);
-        }
-
         let n_in = extractor.num_features_multi(mseries.names().len());
-        let mut net = Mlp::new(
-            &[n_in, params.hidden, 1],
-            Activation::Sigmoid,
-            Activation::Sigmoid,
-            params.seed,
-        )
-        .map_err(|e| TrainError::Model {
-            reason: e.to_string(),
-        })?;
-        let mut trainer = Trainer::new(TrainParams {
-            learning_rate: params.learning_rate,
-            momentum: params.momentum,
-            seed: params.seed,
-        });
-        let losses = trainer.train(&mut net, &train_set, params.epochs);
-        let final_loss = losses.last().copied().unwrap_or(f32::NAN);
+        let (normalizer, net, final_loss) = fit(&rows, &labels, n_in, params)?;
         Ok(Self {
             extractor,
             normalizer,
-            engine: LearningEngine::NeuralNet(net),
+            net,
             final_loss,
             multi_vars: Some(mseries.names().len()),
         })
@@ -655,7 +581,7 @@ impl DataSpaceClassifier {
                 for x in 0..d.nx {
                     self.extractor.vector_into(frame, x, y, z, t_norm, &mut buf);
                     self.normalizer.apply(&mut buf);
-                    out[x + d.nx * y] = Predictor::predict_engine(&self.engine, &buf, &mut scratch);
+                    out[x + d.nx * y] = self.net.predict1(&buf, &mut scratch);
                 }
             }
         });
@@ -929,45 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn svm_engine_also_learns_size_discrimination() {
-        // The Section 8 claim: SVMs give "promising results" on the same task.
-        let (vol, truth) = size_scene(32);
-        let series = TimeSeries::from_frames(vec![(0, vol.clone())]);
-        let mut oracle = PaintOracle::new(5);
-        oracle.slice_stride = 2;
-        let paints = oracle.paint_from_truth(0, &truth, 150, 150);
-        let fx = FeatureExtractor::new(FeatureSpec {
-            shell_radius: 4.0,
-            ..Default::default()
-        });
-        let clf =
-            DataSpaceClassifier::train_svm(fx, &series, &[paints], ifet_nn::SvmParams::default())
-                .unwrap();
-        assert!(
-            clf.final_loss() < 0.1,
-            "SVM training error {}",
-            clf.final_loss()
-        );
-        let mask = clf.extract_mask(&vol, 0.0, 0.5);
-        let f1 = mask.f1(&truth);
-        assert!(f1 > 0.8, "SVM F1 {f1}");
-    }
-
-    #[test]
-    fn network_accessor_is_none_for_svm_engine() {
-        let (vol, truth) = size_scene(16);
-        let series = TimeSeries::from_frames(vec![(0, vol)]);
-        let mut oracle = PaintOracle::new(1);
-        oracle.slice_stride = 1;
-        let paints = oracle.paint_from_truth(0, &truth, 20, 20);
-        let fx = FeatureExtractor::new(FeatureSpec::default());
-        let clf =
-            DataSpaceClassifier::train_svm(fx, &series, &[paints], ifet_nn::SvmParams::default())
-                .unwrap();
-        assert!(clf.network().is_none());
-    }
-
-    #[test]
     fn certainty_at_matches_classify_frame() {
         let (clf, vol, _, _) = trained_on_scene();
         let field = clf.classify_frame(&vol, 0.0);
@@ -1054,27 +941,13 @@ mod tests {
 
     #[test]
     fn classify_frame_matches_uncached_on_both_engines() {
-        // Batched runs reproduce the per-voxel reference on both engines,
-        // also on repeated calls.
+        // Batched runs reproduce the per-voxel reference, also on repeated
+        // calls.
         let (clf, vol, _, _) = trained_on_scene();
         let fresh = clf.classify_frame_uncached(&vol, 0.0);
         for _ in 0..2 {
             assert_eq!(clf.classify_frame(&vol, 0.0).as_slice(), fresh.as_slice());
         }
-
-        let (vol, truth) = size_scene(16);
-        let series = TimeSeries::from_frames(vec![(0, vol.clone())]);
-        let mut oracle = PaintOracle::new(3);
-        oracle.slice_stride = 2;
-        let paints = oracle.paint_from_truth(0, &truth, 60, 60);
-        let fx = FeatureExtractor::new(FeatureSpec::default());
-        let svm =
-            DataSpaceClassifier::train_svm(fx, &series, &[paints], ifet_nn::SvmParams::default())
-                .unwrap();
-        assert_eq!(
-            svm.classify_frame(&vol, 0.0).as_slice(),
-            svm.classify_frame_uncached(&vol, 0.0).as_slice()
-        );
     }
 
     #[test]
@@ -1137,7 +1010,7 @@ mod tests {
             "b",
             ScalarVolume::from_fn(d, |x, y, z| ((x + 2 * y + 3 * z) % 5) as f32 / 4.0),
         );
-        let net = clf.network().unwrap();
+        let net = clf.network();
         let (mut buf, mut scratch) = (Vec::new(), Scratch::default());
         let mut per_voxel = Vec::with_capacity(d.len());
         for z in 0..d.nz {
@@ -1195,6 +1068,15 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_json_keeps_the_tuple_variant_engine_encoding() {
+        // Session artifacts store the network as a one-element tuple variant;
+        // the CLASSIFY section bytes depend on this exact shape.
+        let (clf, _, _, _) = trained_on_scene();
+        let json = serde_json::to_string(&clf.snapshot()).unwrap();
+        assert!(json.contains("\"engine\":{\"NeuralNet\":[{"), "{json}");
+    }
+
+    #[test]
     fn corrupt_snapshots_are_typed_errors() {
         let (clf, _, _, _) = trained_on_scene();
         let snap = clf.snapshot();
@@ -1229,11 +1111,9 @@ mod tests {
         // A truncated weight vector is caught by shape validation, not a
         // slice-index panic mid-classification.
         let mut lobotomized = snap.clone();
-        if let LearningEngine::NeuralNet(net) = &mut lobotomized.engine {
-            let json = net.to_json();
-            let bad = json.replacen("\"weights\":[", "\"weights\":[0.0,", 1);
-            *net = Mlp::from_json(&bad).unwrap();
-        }
+        let json = lobotomized.net.to_json();
+        let bad = json.replacen("\"weights\":[", "\"weights\":[0.0,", 1);
+        lobotomized.net = Mlp::from_json(&bad).unwrap();
         assert!(matches!(
             DataSpaceClassifier::from_snapshot(lobotomized).unwrap_err(),
             SnapshotError::BadNetwork(_)

@@ -30,8 +30,7 @@ pub mod paint;
 pub const SCHEMA_VERSION: u32 = 1;
 
 pub use classify::{
-    ClassifierParams, ClassifierSnapshot, DataSpaceClassifier, LearningEngine, SnapshotError,
-    TrainError,
+    ClassifierParams, ClassifierSnapshot, DataSpaceClassifier, SnapshotError, TrainError,
 };
 pub use features::{FeatureExtractor, FeatureSpec, ShellMode};
 pub use paint::{PaintError, PaintOracle, PaintSet};

@@ -6,22 +6,21 @@
 //! \[26\]); "the input data for the previous network would be transferred to
 //! the new network". This module provides:
 //!
-//! - [`input_importance`] — a first-order measure of how much each input
-//!   feature drives the output (connection-weight products, Garson-style),
-//! - [`sensitivity`] — an empirical measure: output variance under
-//!   perturbation of one input across probe points,
+//! - [`rank_inputs`] — input features ordered by a first-order measure of
+//!   how much each drives the output (connection-weight products,
+//!   Garson-style),
 //! - [`drop_input`] — build a smaller network
 //!   with one input removed, *transferring* all surviving weights so
 //!   training resumes instead of restarting.
 
 #![allow(clippy::needless_range_loop)] // parallel-array indexing reads clearer here
 
-use crate::mlp::{Mlp, Scratch};
+use crate::mlp::Mlp;
 
 /// Connection-weight importance of each input feature: for input `i`, the
 /// sum over hidden units `h` of `|w_ih| * |v_h|` where `v_h` aggregates the
 /// hidden unit's outgoing magnitude. Normalized to sum to 1.
-pub fn input_importance(net: &Mlp) -> Vec<f64> {
+fn input_importance(net: &Mlp) -> Vec<f64> {
     let layers = net.layers_ref();
     assert!(!layers.is_empty());
     let first = &layers[0];
@@ -52,35 +51,6 @@ pub fn input_importance(net: &Mlp) -> Vec<f64> {
         }
     }
     importance
-}
-
-/// Empirical sensitivity: mean absolute output change when input `k` is
-/// perturbed by ±`delta` around each probe point. Normalized to sum to 1
-/// across inputs.
-pub fn sensitivity(net: &Mlp, probes: &[Vec<f32>], delta: f32) -> Vec<f64> {
-    assert!(!probes.is_empty(), "need at least one probe point");
-    let n_in = net.input_size();
-    let mut scratch = Scratch::for_net(net);
-    let mut out = vec![0.0f64; n_in];
-    for p in probes {
-        assert_eq!(p.len(), n_in);
-        for k in 0..n_in {
-            let mut hi = p.clone();
-            hi[k] += delta;
-            let mut lo = p.clone();
-            lo[k] -= delta;
-            let yh = net.forward_scratch(&hi, &mut scratch)[0];
-            let yl = net.forward_scratch(&lo, &mut scratch)[0];
-            out[k] += (yh - yl).abs() as f64;
-        }
-    }
-    let total: f64 = out.iter().sum();
-    if total > 0.0 {
-        for v in &mut out {
-            *v /= total;
-        }
-    }
-    out
 }
 
 /// Build a network with input feature `k` removed, transferring every other
@@ -161,17 +131,6 @@ mod tests {
             imp[0] > imp[1] && imp[0] > imp[2],
             "input 0 should dominate: {imp:?}"
         );
-    }
-
-    #[test]
-    fn sensitivity_favours_the_informative_input() {
-        let net = x0_only_net();
-        let probes: Vec<Vec<f32>> = (0..16)
-            .map(|i| vec![(i % 4) as f32 / 4.0, (i / 4) as f32 / 4.0, 0.5])
-            .collect();
-        let s = sensitivity(&net, &probes, 0.1);
-        assert!(s[0] > s[1] && s[0] > s[2], "{s:?}");
-        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,15 +26,13 @@ pub mod activation;
 pub mod introspect;
 pub mod mlp;
 pub mod normalize;
-pub mod svm;
 pub mod train;
 
-/// Version of this crate's serialized model types (networks, normalizers,
-/// SVMs) inside session artifacts. Bump on any breaking schema change.
+/// Version of this crate's serialized model types (networks and
+/// normalizers) inside session artifacts. Bump on any breaking schema change.
 pub const SCHEMA_VERSION: u32 = 1;
 
 pub use activation::Activation;
 pub use mlp::{Mlp, MlpShapeError, BATCH_LANES};
 pub use normalize::Normalizer;
-pub use svm::{Kernel, Svm, SvmParams};
 pub use train::{IncrementalTrainer, TrainParams, Trainer, TrainingSet};

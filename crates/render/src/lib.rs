@@ -22,4 +22,4 @@ pub mod slice_view;
 pub use camera::Camera;
 pub use image::Image;
 pub use raycast::{render_tracking_overlay, RenderParams, Renderer, AUTO_PACKET, MAX_PACKET};
-pub use slice_view::{render_slice, slice_data, three_view, SliceAxis};
+pub use slice_view::{render_slice, slice_data, SliceAxis};

@@ -2,9 +2,8 @@
 //! interface (Section 6): the user paints on "three axis-aligned slices",
 //! sees classification feedback per slice, and inspects the data in 2D.
 //!
-//! Headless equivalents: render a slice as a grayscale or color-mapped
-//! image, overlay painted voxels as colored marks, and overlay a per-slice
-//! certainty field as a red tint.
+//! Headless equivalent: cut a slice along any axis and render it as a
+//! grayscale or color-mapped image.
 
 use crate::image::Image;
 use ifet_tf::ColorMap;
@@ -41,56 +40,6 @@ pub fn render_slice(vol: &ScalarVolume, axis: SliceAxis, k: usize, cmap: ColorMa
     img
 }
 
-/// Paint marks onto a z-slice image: positives in green, negatives in blue
-/// (the "brushes of different color"). Marks off this slice are ignored.
-pub fn overlay_paints_z(
-    img: &mut Image,
-    k: usize,
-    positives: &[(usize, usize, usize)],
-    negatives: &[(usize, usize, usize)],
-) {
-    for &(x, y, z) in positives {
-        if z == k && x < img.width() && y < img.height() {
-            img.set_pixel(x, y, [0.1, 1.0, 0.1]);
-        }
-    }
-    for &(x, y, z) in negatives {
-        if z == k && x < img.width() && y < img.height() {
-            img.set_pixel(x, y, [0.1, 0.1, 1.0]);
-        }
-    }
-}
-
-/// Tint a slice image by a certainty field (row-major, `[0, 1]`): certain
-/// voxels blend toward red — the immediate per-slice feedback of Section 6.
-pub fn overlay_certainty(img: &mut Image, certainty: &[f32]) {
-    let (w, h) = (img.width(), img.height());
-    assert_eq!(certainty.len(), w * h, "certainty field size mismatch");
-    for y in 0..h {
-        for x in 0..w {
-            let c = certainty[x + w * y].clamp(0.0, 1.0);
-            if c > 0.0 {
-                let p = img.pixel(x, y);
-                img.set_pixel(
-                    x,
-                    y,
-                    [p[0] * (1.0 - c) + c, p[1] * (1.0 - c), p[2] * (1.0 - c)],
-                );
-            }
-        }
-    }
-}
-
-/// The interface's lower row: the three axis-aligned mid-slices as images.
-pub fn three_view(vol: &ScalarVolume, cmap: ColorMap) -> [Image; 3] {
-    let d = vol.dims();
-    [
-        render_slice(vol, SliceAxis::X, d.nx / 2, cmap),
-        render_slice(vol, SliceAxis::Y, d.ny / 2, cmap),
-        render_slice(vol, SliceAxis::Z, d.nz / 2, cmap),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,46 +71,5 @@ mod tests {
         // But the global max voxel on the last slice is white.
         let img_last = render_slice(&v, SliceAxis::Z, 9, ColorMap::Grayscale);
         assert!(img_last.pixel(5, 7)[0] > 0.99);
-    }
-
-    #[test]
-    fn paint_overlay_marks_only_matching_slice() {
-        let v = ramp();
-        let mut img = render_slice(&v, SliceAxis::Z, 3, ColorMap::Grayscale);
-        overlay_paints_z(&mut img, 3, &[(1, 1, 3)], &[(2, 2, 4)]);
-        assert_eq!(img.pixel(1, 1), [0.1, 1.0, 0.1]); // on-slice positive
-        let p = img.pixel(2, 2);
-        assert_ne!(p, [0.1, 0.1, 1.0], "off-slice negative must not draw");
-    }
-
-    #[test]
-    fn certainty_overlay_reddens() {
-        let v = ramp();
-        let mut img = render_slice(&v, SliceAxis::Z, 0, ColorMap::Grayscale);
-        let mut field = vec![0.0f32; 6 * 8];
-        field[0] = 1.0; // pixel (0,0) fully certain
-        overlay_certainty(&mut img, &field);
-        let p = img.pixel(0, 0);
-        assert!(p[0] > 0.99 && p[1] < 0.01, "{p:?}");
-        // Unmarked pixel unchanged (certainty 0).
-        let q = img.pixel(3, 3);
-        assert_eq!(q[0], q[1]);
-    }
-
-    #[test]
-    fn three_view_shapes() {
-        let v = ramp();
-        let [ix, iy, iz] = three_view(&v, ColorMap::Rainbow);
-        assert_eq!((ix.width(), ix.height()), (8, 10));
-        assert_eq!((iy.width(), iy.height()), (6, 10));
-        assert_eq!((iz.width(), iz.height()), (6, 8));
-    }
-
-    #[test]
-    #[should_panic]
-    fn certainty_size_mismatch_panics() {
-        let v = ramp();
-        let mut img = render_slice(&v, SliceAxis::Z, 0, ColorMap::Grayscale);
-        overlay_certainty(&mut img, &[0.5; 3]);
     }
 }

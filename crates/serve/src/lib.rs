@@ -23,7 +23,7 @@
 //!   client`): per-connection reader/writer threads around a fixed
 //!   worker-pool executor, multiplexed pipelined connections (replies in
 //!   completion order, matched by request id), and a multiplexing
-//!   [`Client`](server::Client). The deterministic test harness drives
+//!   [`Client`]. The deterministic test harness drives
 //!   [`ServeEngine::handle_wire`] in-process instead.
 //!
 //! The load-bearing contract, pinned by `tests/serve_equivalence.rs`:

@@ -36,10 +36,9 @@ use crate::protocol::{
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Worker-pool size when [`ServerOpts::workers`] is 0.
 const DEFAULT_WORKERS: usize = 4;
@@ -219,10 +218,13 @@ impl Pool {
 /// Serve `engine` on a Unix socket at `path` until `max_requests` requests
 /// have been answered. Returns the number served. Any stale socket file at
 /// `path` is replaced.
+///
+/// The accept loop blocks in `accept`. The writer whose reply brings the
+/// served count to `max_requests` connects to the socket once, so the loop
+/// wakes, sees the quota met, and shuts the server down.
 pub fn serve_unix(path: &Path, engine: &ServeEngine, opts: ServerOpts) -> std::io::Result<u64> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
     let served = Arc::new(AtomicU64::new(0));
     let pool = Pool::new();
 
@@ -252,44 +254,43 @@ pub fn serve_unix(path: &Path, engine: &ServeEngine, opts: ServerOpts) -> std::i
         })
         .collect();
 
+    let quota_met = || {
+        opts.max_requests
+            .is_some_and(|max| served.load(Ordering::SeqCst) >= max)
+    };
     let mut readers = Vec::new();
     let mut writers = Vec::new();
-    loop {
-        if let Some(max) = opts.max_requests {
-            if served.load(Ordering::SeqCst) >= max {
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                stream.set_nonblocking(false)?;
-                let (tx, rx) = mpsc::channel::<Vec<u8>>();
-                let conn = Arc::new(Conn {
-                    outstanding: Mutex::new(0),
-                    cv: Condvar::new(),
-                    dead: AtomicBool::new(false),
-                });
-                let slot = pool.register(tx.clone());
-                let shutdown = stream.try_clone()?;
-                let write_stream = stream.try_clone()?;
-                writers.push(std::thread::spawn({
-                    let conn = Arc::clone(&conn);
-                    let served = Arc::clone(&served);
-                    move || writer_loop(write_stream, rx, &conn, &served)
-                }));
-                readers.push((
-                    std::thread::spawn({
-                        let pool = Arc::clone(&pool);
-                        move || reader_loop(stream, &pool, slot, &conn, tx)
-                    }),
-                    shutdown,
-                ));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+    while !quota_met() {
+        let stream = match listener.accept() {
+            Ok((stream, _addr)) => stream,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        };
+        if quota_met() {
+            break; // the last writer's wake-up, or a client arriving too late
         }
+        let (tx, rx) = mpsc::channel::<Vec<u8>>();
+        let conn = Arc::new(Conn {
+            outstanding: Mutex::new(0),
+            cv: Condvar::new(),
+            dead: AtomicBool::new(false),
+        });
+        let slot = pool.register(tx.clone());
+        let shutdown = stream.try_clone()?;
+        let write_stream = stream.try_clone()?;
+        writers.push(std::thread::spawn({
+            let conn = Arc::clone(&conn);
+            let served = Arc::clone(&served);
+            let wake = opts.max_requests.map(|max| (max, path.to_path_buf()));
+            move || writer_loop(write_stream, rx, &conn, &served, wake)
+        }));
+        readers.push((
+            std::thread::spawn({
+                let pool = Arc::clone(&pool);
+                move || reader_loop(stream, &pool, slot, &conn, tx)
+            }),
+            shutdown,
+        ));
     }
     drop(listener);
     let _ = std::fs::remove_file(path);
@@ -371,19 +372,27 @@ fn reject_and_close(conn: &Conn, tx: &mpsc::Sender<Vec<u8>>, e: &ProtocolError) 
 
 /// Per-connection writer: replies leave in completion order. Every message
 /// balances one `admit` whether or not the write succeeds, so the reader's
-/// backpressure can never wedge on a vanished client.
+/// backpressure can never wedge on a vanished client. `wake` is the
+/// server's `(max_requests, socket path)`, if it has a quota.
 fn writer_loop(
     mut stream: UnixStream,
     rx: mpsc::Receiver<Vec<u8>>,
     conn: &Conn,
     served: &AtomicU64,
+    wake: Option<(u64, PathBuf)>,
 ) {
     let mut alive = true;
     while let Ok(bytes) = rx.recv() {
         if alive {
             match stream.write_all(&bytes) {
                 Ok(()) => {
-                    served.fetch_add(1, Ordering::SeqCst);
+                    let now = served.fetch_add(1, Ordering::SeqCst) + 1;
+                    if let Some((max, path)) = &wake {
+                        if now == *max {
+                            // Wake the accept loop: the quota is met.
+                            let _ = UnixStream::connect(path);
+                        }
+                    }
                 }
                 Err(_) => {
                     alive = false;

@@ -2,7 +2,7 @@
 //! companion workload to the paper's Eulerian feature tracking.
 //!
 //! Three layers:
-//! - [`advect`] (module) — RK4 pathline advection of particle ensembles,
+//! - [`advect`](mod@advect) (module) — RK4 pathline advection of particle ensembles,
 //!   streamed through `FrameSource` velocity components so it runs
 //!   out-of-core under the existing frame/byte budgets and prefetch;
 //! - [`surrogate`] — the `ifet-nn` MLP trained as a *flow map*

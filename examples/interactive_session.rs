@@ -1,13 +1,12 @@
 //! The interactive workflow, headless (paper Sections 4.2.2 and 6):
 //! idle-loop incremental training with intermediate feedback, network
-//! introspection ("opening the black box"), dropping an unimportant input
-//! property, and comparing the neural network with the SVM alternative.
+//! introspection ("opening the black box"), and dropping an unimportant
+//! input property.
 //!
 //! Run with: `cargo run --release --example interactive_session`
 
 use ifet_core::prelude::*;
 use ifet_nn::introspect;
-use ifet_nn::SvmParams;
 use ifet_sim::shock_bubble::ring_value_band;
 use ifet_tf::IatfBuilder;
 
@@ -60,8 +59,8 @@ fn main() {
         .expect("training failed");
     let net = session
         .classifier()
-        .and_then(|c| c.network())
-        .expect("the session classifier is a neural network");
+        .expect("the session holds a trained classifier")
+        .network();
 
     println!("\ninput importance (connection weights):");
     let names = [
@@ -90,36 +89,4 @@ fn main() {
         net.num_params(),
         smaller.num_params()
     );
-
-    // ---- 3. NN vs SVM on the same paints ---------------------------------
-    let mut oracle2 = PaintOracle::new(3);
-    let paints = oracle2.paint_from_truth(t_mid, data.truth_frame(fi), 300, 300);
-    let fx = FeatureExtractor::new(FeatureSpec {
-        shell_radius: 4.0,
-        ..Default::default()
-    });
-    let svm_clf = DataSpaceClassifier::train_svm(
-        fx,
-        series,
-        &[paints],
-        SvmParams {
-            c: 10.0,
-            kernel: ifet_nn::Kernel::Rbf { gamma: 4.0 },
-            max_passes: 10,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let tn = series.normalized_time(t_mid);
-    let nn_mask = session.extract_data_space(t_mid, 0.6).unwrap().unwrap();
-    let svm_mask = svm_clf.extract_mask(series.frame(fi), tn, 0.6);
-    println!(
-        "\nNN  extraction: {}",
-        Scores::of(&nn_mask, data.truth_frame(fi))
-    );
-    println!(
-        "SVM extraction: {}",
-        Scores::of(&svm_mask, data.truth_frame(fi))
-    );
-    println!("(the paper's Section 8: SVMs also give promising results)");
 }

@@ -1,5 +1,5 @@
 //! Integration tests for the extension features: QG merge tracking,
-//! multivariate classification, the SVM engine, out-of-core paging,
+//! multivariate classification, out-of-core paging,
 //! key-frame suggestion, persistent tracks, and network pruning — the
 //! paper's Section 8 directions, end to end.
 
@@ -116,49 +116,6 @@ fn multivariate_classifier_beats_single_variables() {
 }
 
 #[test]
-fn svm_and_nn_agree_on_an_easy_task() {
-    let data = ifet_sim::reionization(Dims3::cube(32), 0xE8);
-    let t = 310;
-    let fi = data.series.index_of_step(t).unwrap();
-    let truth = data.truth_frame(fi);
-    let spec = FeatureSpec {
-        shell_radius: 3.0,
-        ..Default::default()
-    };
-    let make_paints = || {
-        let mut oracle = PaintOracle::new(0xE8);
-        oracle.paint_from_truth(t, truth, 200, 200)
-    };
-    let nn = DataSpaceClassifier::train(
-        FeatureExtractor::new(spec),
-        &data.series,
-        &[make_paints()],
-        ClassifierParams::default(),
-    )
-    .unwrap();
-    let svm = DataSpaceClassifier::train_svm(
-        FeatureExtractor::new(spec),
-        &data.series,
-        &[make_paints()],
-        SvmParams {
-            c: 10.0,
-            kernel: Kernel::Rbf { gamma: 4.0 },
-            max_passes: 10,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let tn = data.series.normalized_time(t);
-    let nn_f1 = nn.extract_mask(data.series.frame(fi), tn, 0.5).f1(truth);
-    let svm_f1 = svm.extract_mask(data.series.frame(fi), tn, 0.5).f1(truth);
-    assert!(nn_f1 > 0.8, "NN F1 {nn_f1}");
-    assert!(
-        svm_f1 > 0.7,
-        "SVM F1 {svm_f1} — 'promising results' (Section 8)"
-    );
-}
-
-#[test]
 fn out_of_core_series_supports_the_iatf_workflow() {
     use ifet_sim::shock_bubble::ring_value_band;
     let data = ifet_sim::shock_bubble(Dims3::cube(16), 0xE9);
@@ -244,7 +201,7 @@ fn pruned_classifier_network_still_extracts() {
             ClassifierParams::default(),
         )
         .unwrap();
-    let net = session.classifier().unwrap().network().unwrap();
+    let net = session.classifier().unwrap().network();
     let ranked = introspect::rank_inputs(net);
     let (least, _) = *ranked.last().unwrap();
     let smaller = introspect::drop_input(net, least);

@@ -225,7 +225,7 @@ fn classifier_network_roundtrips_as_json() {
         .train_classifier(FeatureSpec::default(), ClassifierParams::default())
         .unwrap();
 
-    let net = session.classifier().unwrap().network().unwrap();
+    let net = session.classifier().unwrap().network();
     let restored = Mlp::from_json(&net.to_json()).unwrap();
     assert_eq!(*net, restored);
 }

@@ -326,6 +326,32 @@ fn each_missing_required_section_is_typed() {
 }
 
 #[test]
+fn an_unknown_learning_engine_is_typed() {
+    // Only the neural network is a classifier engine; a CLASSIFY section
+    // naming any other (such as an SVM) loads as a typed error.
+    let (series, bytes) = rich_artifact();
+    let (_, off, len) = section_table(bytes)
+        .into_iter()
+        .find(|(t, _, _)| t == "CLASSIFY")
+        .unwrap();
+    let json = std::str::from_utf8(&bytes[off..off + len]).unwrap();
+    assert!(json.contains("{\"NeuralNet\":["), "{json}");
+    let svm = json.replacen("{\"NeuralNet\":[", "{\"SupportVector\":[", 1);
+    let swapped = rebuild(
+        bytes,
+        |t| t != "CLASSIFY",
+        &[("CLASSIFY", svm.into_bytes())],
+    );
+    match load_session_bytes(series.clone(), &swapped) {
+        Err(PersistError::Malformed { section, reason }) => {
+            assert_eq!(section, "CLASSIFY");
+            assert!(reason.contains("SupportVector"), "{reason}");
+        }
+        other => panic!("expected a malformed CLASSIFY section, got {other:?}"),
+    }
+}
+
+#[test]
 fn attaching_to_the_wrong_series_is_typed() {
     let (series, bytes) = rich_artifact();
 

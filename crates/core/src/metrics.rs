@@ -50,16 +50,6 @@ impl std::fmt::Display for Scores {
     }
 }
 
-/// Score a sequence of per-frame predictions against per-frame truths.
-pub fn score_series(preds: &[Mask3], truths: &[Mask3]) -> Vec<Scores> {
-    assert_eq!(preds.len(), truths.len(), "prediction/truth count mismatch");
-    preds
-        .iter()
-        .zip(truths)
-        .map(|(p, t)| Scores::of(p, t))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,15 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn score_series_pairs_up() {
-        let d = Dims3::cube(2);
-        let m = Mask3::full(d);
-        let out = score_series(&[m.clone(), m.clone()], &[m.clone(), m]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].f1, 1.0);
-    }
-
-    #[test]
     fn display_is_compact() {
         let s = Scores {
             precision: 0.5,
@@ -128,12 +109,5 @@ mod tests {
         };
         let txt = s.to_string();
         assert!(txt.contains("F1=0.333"));
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_series_panics() {
-        let d = Dims3::cube(2);
-        let _ = score_series(&[Mask3::full(d)], &[]);
     }
 }

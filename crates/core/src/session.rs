@@ -221,12 +221,6 @@ impl<S: FrameSource> VisSession<S> {
         ifet_tf::suggest_key_frames(&self.series, 256, max_keys, 0.02)
     }
 
-    /// Classify the series' temporal behaviour (regular / periodic /
-    /// drifting) — drifting data is where the IATF pays off.
-    pub fn temporal_behavior(&self) -> ifet_tf::TemporalBehavior {
-        ifet_tf::classify_behavior(&self.series, 256, 0.1)
-    }
-
     // ---- Transfer-function-space extraction (paper Section 4.2) ----
 
     /// Register a user key-frame transfer function. Invalidates any
@@ -862,11 +856,11 @@ mod tests {
     #[test]
     fn key_frame_suggestion_and_behavior() {
         let s = series(); // irregular shifts: drifting distribution
-        let sess = VisSession::new(s).unwrap();
         assert_eq!(
-            sess.temporal_behavior(),
+            ifet_tf::classify_behavior(&s, 256, 0.1),
             ifet_tf::TemporalBehavior::Periodic // shifts 0.0 -> 0.3 -> 0.1 come back down
         );
+        let sess = VisSession::new(s).unwrap();
         let keys = sess.suggest_key_frames(3);
         assert!(keys.contains(&0) && keys.contains(&20));
         // The middle frame (shift 0.3) is the outlier worth painting.

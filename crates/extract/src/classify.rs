@@ -16,13 +16,11 @@ use serde::{Deserialize, Serialize};
 /// per-voxel path at any width.
 const BATCH_ROWS: usize = 64;
 
-/// Per-predictor buffers: the feature vector under construction, the MLP
-/// forward-pass scratch, and the batch-row staging buffers. `Scratch`
-/// self-sizes on first use, so a default-constructed instance works for
-/// any network.
+/// Per-predictor buffers: the MLP forward-pass scratch and the batch-row
+/// staging buffers. `Scratch` self-sizes on first use, so a
+/// default-constructed instance works for any network.
 #[derive(Debug, Default)]
 struct PredictBuffers {
-    features: Vec<f32>,
     scratch: Scratch,
     /// Feature rows for a batched run, row-major `[len * num_features]`.
     rows: Vec<f32>,
@@ -38,21 +36,11 @@ struct Predictor<'a> {
 }
 
 impl Predictor<'_> {
-    /// Certainty for one voxel of a scalar frame.
-    #[inline]
-    fn predict_at(&mut self, frame: &ScalarVolume, x: usize, y: usize, z: usize, tn: f32) -> f32 {
-        let PredictBuffers {
-            features, scratch, ..
-        } = &mut self.bufs;
-        self.clf.extractor.vector_into(frame, x, y, z, tn, features);
-        self.clf.normalizer.apply(features);
-        self.clf.net.predict1(features, scratch)
-    }
-
     /// Batched prediction: normalize the staged rows (each `nf` wide) and
     /// write one certainty per row into `out`. Per-row work is the exact
-    /// same operation sequence as the scalar path (`Normalizer::apply` on
-    /// the row slice, then `predict1`-equivalent inference), so batched
+    /// same operation sequence as the per-voxel reference
+    /// [`DataSpaceClassifier::classify_frame_uncached`] (`Normalizer::apply`
+    /// on the row slice, then `predict1`-equivalent inference), so batched
     /// output is bit-identical to per-voxel output.
     fn predict_rows_into(&mut self, nf: usize, out: &mut [f32]) {
         let PredictBuffers {
@@ -529,18 +517,6 @@ impl DataSpaceClassifier {
         Mask3::threshold(&self.classify_frame_multi(frame, t_norm), tau)
     }
 
-    /// Certainty for one voxel.
-    pub fn certainty_at(
-        &self,
-        frame: &ScalarVolume,
-        x: usize,
-        y: usize,
-        z: usize,
-        t_norm: f32,
-    ) -> f32 {
-        self.predictor().predict_at(frame, x, y, z, t_norm)
-    }
-
     /// Classify a whole frame into a certainty volume (parallel over
     /// z-slabs; this is the "10 seconds for a 256³ volume" operation of
     /// Section 7, here multithreaded).
@@ -852,17 +828,6 @@ mod tests {
             DataSpaceClassifier::from_snapshot(snap).unwrap_err(),
             SnapshotError::FeatureCountMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn certainty_at_matches_classify_frame() {
-        let (clf, vol, _, _) = trained_on_scene();
-        let field = clf.classify_frame(&vol, 0.0);
-        for &(x, y, z) in &[(3usize, 3usize, 3usize), (16, 16, 16), (28, 5, 9)] {
-            let a = clf.certainty_at(&vol, x, y, z, 0.0);
-            let b = *field.get(x, y, z);
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -42,14 +42,6 @@ impl PaintSet {
         }
     }
 
-    /// Paint a straight stroke of voxels along the x axis on slice `z = k`
-    /// (the "brush on a slice" gesture).
-    pub fn stroke_x(&mut self, y: usize, z: usize, x0: usize, x1: usize, is_feature: bool) {
-        for x in x0..=x1 {
-            self.paint((x, y, z), is_feature);
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.positives.len() + self.negatives.len()
     }
@@ -64,24 +56,6 @@ impl PaintSet {
             .iter()
             .map(|&v| (v, 1.0))
             .chain(self.negatives.iter().map(|&v| (v, 0.0)))
-    }
-
-    /// Paint an entire region at once — the Section 6 gesture "the system
-    /// also allows the user to select small features from the window of
-    /// feature volume, and consider the selected regions as part of the
-    /// unwanted feature". To keep training balanced, at most `max_voxels`
-    /// voxels of the region are sampled (every k-th set voxel).
-    pub fn paint_region(&mut self, region: &Mask3, is_feature: bool, max_voxels: usize) {
-        let count = region.count();
-        if count == 0 {
-            return;
-        }
-        let stride = count.div_ceil(max_voxels.max(1));
-        for (i, voxel) in region.set_coords().enumerate() {
-            if i % stride == 0 {
-                self.paint(voxel, is_feature);
-            }
-        }
     }
 }
 
@@ -206,47 +180,15 @@ mod tests {
     fn manual_painting() {
         let mut p = PaintSet::new(5);
         p.paint((1, 2, 3), true);
-        p.stroke_x(4, 0, 2, 5, false);
+        for x in 2..=5 {
+            p.paint((x, 4, 0), false);
+        }
         assert_eq!(p.positives.len(), 1);
         assert_eq!(p.negatives.len(), 4);
         assert_eq!(p.len(), 5);
         let labels: Vec<f32> = p.iter().map(|(_, l)| l).collect();
         assert_eq!(labels[0], 1.0);
         assert!(labels[1..].iter().all(|&l| l == 0.0));
-    }
-
-    #[test]
-    fn paint_region_samples_component() {
-        let region = ball_mask(12, 3.0);
-        let mut p = PaintSet::new(0);
-        p.paint_region(&region, false, 20);
-        assert!(!p.negatives.is_empty());
-        assert!(
-            p.negatives.len() <= 40,
-            "sampling cap blown: {}",
-            p.negatives.len()
-        );
-        for &(x, y, z) in &p.negatives {
-            assert!(region.get(x, y, z), "painted outside the region");
-        }
-    }
-
-    #[test]
-    fn paint_region_empty_is_noop() {
-        let mut p = PaintSet::new(0);
-        p.paint_region(&Mask3::empty(Dims3::cube(4)), true, 10);
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn paint_region_small_region_takes_all() {
-        let d = Dims3::cube(6);
-        let mut m = Mask3::empty(d);
-        m.set(1, 1, 1, true);
-        m.set(2, 1, 1, true);
-        let mut p = PaintSet::new(0);
-        p.paint_region(&m, true, 100);
-        assert_eq!(p.positives.len(), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! - [`Mlp`] — a multi-layer perceptron with configurable [`Activation`]s,
 //!   Xavier-initialized from a seed (fully deterministic),
 //! - [`Trainer`] — supervised back-propagation with learning rate and
-//!   momentum, online or mini-batch,
+//!   momentum, one online (per-sample) update,
 //! - [`IncrementalTrainer`] — the paper's "training is performed iteratively
 //!   in the system's idle loop" workflow: training proceeds in small bursts
 //!   while samples may keep arriving, and the current network can be queried

@@ -239,127 +239,6 @@ impl Trainer {
         &self.scratch.activations()[l]
     }
 
-    /// One epoch of *mini-batch* training: gradients are averaged over each
-    /// batch before the (momentum) update. Larger batches give smoother,
-    /// more parallelizable steps at the cost of per-epoch progress; batch
-    /// size 1 recovers online behaviour (up to shuffle order).
-    /// Returns the mean per-sample MSE observed during the epoch.
-    pub fn train_epoch_minibatch(
-        &mut self,
-        net: &mut Mlp,
-        set: &TrainingSet,
-        batch_size: usize,
-    ) -> f32 {
-        assert!(!set.is_empty(), "cannot train on an empty set");
-        assert!(batch_size >= 1);
-        self.ensure_buffers(net);
-        let mut order: Vec<usize> = (0..set.len()).collect();
-        order.shuffle(&mut self.rng);
-
-        // Gradient accumulators matching each layer's shapes.
-        let mut gw: Vec<Vec<f32>> = net
-            .layers()
-            .iter()
-            .map(|l| vec![0.0; l.weights.len()])
-            .collect();
-        let mut gb: Vec<Vec<f32>> = net
-            .layers()
-            .iter()
-            .map(|l| vec![0.0; l.biases.len()])
-            .collect();
-
-        let mut total = 0.0f64;
-        for chunk in order.chunks(batch_size) {
-            for acc in gw.iter_mut().chain(gb.iter_mut()) {
-                acc.iter_mut().for_each(|v| *v = 0.0);
-            }
-            for &i in chunk {
-                let (x, t) = set.sample(i);
-                total += self.accumulate_gradient(net, x, t, &mut gw, &mut gb) as f64;
-            }
-            // Apply the mean gradient with momentum.
-            let scale = 1.0 / chunk.len() as f32;
-            let lr = self.params.learning_rate;
-            let mom = self.params.momentum;
-            let vel = self.velocity.as_mut().unwrap();
-            for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-                for (w, (g, v)) in layer
-                    .weights
-                    .iter_mut()
-                    .zip(gw[l].iter().zip(vel.weights[l].iter_mut()))
-                {
-                    *v = mom * *v - lr * g * scale;
-                    *w += *v;
-                }
-                for (b, (g, v)) in layer
-                    .biases
-                    .iter_mut()
-                    .zip(gb[l].iter().zip(vel.biases[l].iter_mut()))
-                {
-                    *v = mom * *v - lr * g * scale;
-                    *b += *v;
-                }
-            }
-        }
-        (total / set.len() as f64) as f32
-    }
-
-    /// Forward + backward for one sample, adding its gradient into the
-    /// accumulators without touching the weights. Returns the sample MSE.
-    fn accumulate_gradient(
-        &mut self,
-        net: &Mlp,
-        input: &[f32],
-        target: &[f32],
-        gw: &mut [Vec<f32>],
-        gb: &mut [Vec<f32>],
-    ) -> f32 {
-        assert_eq!(target.len(), net.output_size());
-        net.forward_scratch(input, &mut self.scratch);
-        let n_layers = net.layers().len();
-
-        let mut mse = 0.0f32;
-        {
-            let acts: Vec<f32> = self.scratch_activations(n_layers - 1).to_vec();
-            let layer = &net.layers()[n_layers - 1];
-            for o in 0..layer.n_out {
-                let y = acts[o];
-                let err = y - target[o];
-                mse += err * err;
-                self.deltas[n_layers - 1][o] = err * layer.activation.derivative_from_output(y);
-            }
-            mse /= layer.n_out as f32;
-        }
-        for l in (0..n_layers - 1).rev() {
-            let next = &net.layers()[l + 1];
-            let layer = &net.layers()[l];
-            let acts_l: Vec<f32> = self.scratch_activations(l).to_vec();
-            for h in 0..layer.n_out {
-                let mut acc = 0.0f32;
-                for o in 0..next.n_out {
-                    acc += next.weights[o * next.n_in + h] * self.deltas[l + 1][o];
-                }
-                self.deltas[l][h] = acc * layer.activation.derivative_from_output(acts_l[h]);
-            }
-        }
-        for l in 0..n_layers {
-            let layer_input: Vec<f32> = if l == 0 {
-                input.to_vec()
-            } else {
-                self.scratch.activations()[l - 1].clone()
-            };
-            let layer = &net.layers()[l];
-            for o in 0..layer.n_out {
-                let delta = self.deltas[l][o];
-                for i in 0..layer.n_in {
-                    gw[l][o * layer.n_in + i] += delta * layer_input[i];
-                }
-                gb[l][o] += delta;
-            }
-        }
-        mse
-    }
-
     /// One epoch of online training over a shuffled ordering of the set.
     /// Returns the mean per-sample MSE observed during the epoch.
     pub fn train_epoch(&mut self, net: &mut Mlp, set: &TrainingSet) -> f32 {
@@ -410,7 +289,7 @@ impl Trainer {
 /// frames as training progresses."
 ///
 /// `IncrementalTrainer` owns the network and training set; the caller
-/// alternates [`IncrementalTrainer::add_sample`] (new user input) with
+/// alternates [`IncrementalTrainer::add_set`] (new user input) with
 /// [`IncrementalTrainer::step`] (a burst of idle-loop training) and may read
 /// the current network at any time via [`IncrementalTrainer::network`].
 #[derive(Debug, Clone)]
@@ -431,11 +310,6 @@ impl IncrementalTrainer {
             epochs_done: 0,
             loss_history: Vec::new(),
         }
-    }
-
-    /// Add a training sample (e.g. one painted voxel or TF entry).
-    pub fn add_sample(&mut self, input: Vec<f32>, target: Vec<f32>) {
-        self.set.add(input, target);
     }
 
     /// Bulk-add samples.
@@ -461,23 +335,6 @@ impl IncrementalTrainer {
         last
     }
 
-    /// Train until the epoch loss drops below `target_loss` or `max_epochs`
-    /// elapse. Returns the final loss.
-    pub fn train_until(&mut self, target_loss: f32, max_epochs: usize) -> Option<f32> {
-        let mut last = None;
-        for _ in 0..max_epochs {
-            last = self.step(1);
-            if let Some(l) = last {
-                if l <= target_loss {
-                    break;
-                }
-            } else {
-                break;
-            }
-        }
-        last
-    }
-
     /// The current network (usable for immediate visual feedback mid-training).
     pub fn network(&self) -> &Mlp {
         &self.net
@@ -494,21 +351,6 @@ impl IncrementalTrainer {
 
     pub fn loss_history(&self) -> &[f32] {
         &self.loss_history
-    }
-
-    pub fn num_samples(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Replace the network with a fresh one of different input size,
-    /// mirroring the paper's Section 6: "when the user considers less
-    /// properties, the neural network becomes smaller". Existing samples are
-    /// discarded (their shape no longer matches); training restarts.
-    pub fn reshape(&mut self, net: Mlp) {
-        self.net = net;
-        self.set = TrainingSet::new();
-        self.epochs_done = 0;
-        self.loss_history.clear();
     }
 }
 
@@ -619,67 +461,64 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// FNV-1a over the f32 bits of every weight and bias, layer by layer.
+    fn digest(net: &Mlp) -> u64 {
+        net.layers()
+            .iter()
+            .flat_map(|l| l.weights.iter().chain(&l.biases))
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                v.to_bits()
+                    .to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+            })
+    }
+
+    #[test]
+    fn training_matches_its_pinned_digest() {
+        // `deterministic_training` only compares two runs of one build; this
+        // pins the trained bits, so a reordered delta sum or momentum update
+        // shows up even when the network still learns. Three outputs (XOR,
+        // AND, OR) give each hidden delta a sum of more than one term.
+        let params = TrainParams {
+            learning_rate: 0.3,
+            momentum: 0.8,
+            seed: 7,
+        };
+        let fresh = || Mlp::new(&[2, 6, 3], Activation::Sigmoid, Activation::Sigmoid, 11).unwrap();
+        let (mut first, mut rest) = (TrainingSet::new(), TrainingSet::new());
+        for (i, (a, b)) in [(0u8, 0u8), (0, 1), (1, 0), (1, 1)].into_iter().enumerate() {
+            let half = if i < 2 { &mut first } else { &mut rest };
+            let t = [a ^ b, a & b, a | b].map(f32::from).to_vec();
+            half.add(vec![a.into(), b.into()], t);
+        }
+        let mut set = first.clone();
+        set.extend_from(&rest);
+
+        let mut net = fresh();
+        Trainer::new(params).train(&mut net, &set, 20);
+        let got = digest(&net);
+        assert_eq!(got, 0xdedb_ac59_f724_2d1b, "Trainer::train: {got:#018x}");
+
+        // The idle loop: half the samples, a burst, the rest, another burst.
+        let mut inc = IncrementalTrainer::new(fresh(), params);
+        inc.add_set(&first);
+        inc.step(10);
+        inc.add_set(&rest);
+        inc.step(10);
+        let got = digest(inc.network());
+        assert_eq!(
+            got, 0xbdd3_dac7_6948_0854,
+            "IncrementalTrainer::step: {got:#018x}"
+        );
+    }
+
     #[test]
     #[should_panic]
     fn empty_epoch_panics() {
         let mut net = Mlp::three_layer(2, 3, 0);
         let mut tr = Trainer::new(TrainParams::default());
         tr.train_epoch(&mut net, &TrainingSet::new());
-    }
-
-    #[test]
-    fn minibatch_learns_xor() {
-        let mut net = Mlp::three_layer(2, 8, 1);
-        let mut tr = Trainer::new(TrainParams {
-            learning_rate: 0.8,
-            momentum: 0.9,
-            seed: 42,
-        });
-        let set = xor_set();
-        let mut last = 1.0;
-        for _ in 0..3000 {
-            last = tr.train_epoch_minibatch(&mut net, &set, 4);
-        }
-        assert!(last < 0.02, "mini-batch XOR loss {last}");
-    }
-
-    #[test]
-    fn minibatch_is_deterministic() {
-        let run = || {
-            let mut net = Mlp::three_layer(2, 6, 3);
-            let mut tr = Trainer::new(TrainParams::default());
-            for _ in 0..40 {
-                tr.train_epoch_minibatch(&mut net, &xor_set(), 2);
-            }
-            net
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn minibatch_size_one_converges_like_online() {
-        // Not bit-identical to online (update ordering differs slightly),
-        // but batch size 1 must reach comparable loss.
-        let set = xor_set();
-        let mut a = Mlp::three_layer(2, 8, 5);
-        let mut b = a.clone();
-        let mut ta = Trainer::new(TrainParams::default());
-        let mut tb = Trainer::new(TrainParams::default());
-        let mut la = 1.0;
-        let mut lb = 1.0;
-        for _ in 0..1500 {
-            la = ta.train_epoch(&mut a, &set);
-            lb = tb.train_epoch_minibatch(&mut b, &set, 1);
-        }
-        assert!(la < 0.05 && lb < 0.05, "online {la}, batch-1 {lb}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn minibatch_empty_set_panics() {
-        let mut net = Mlp::three_layer(2, 3, 0);
-        let mut tr = Trainer::new(TrainParams::default());
-        tr.train_epoch_minibatch(&mut net, &TrainingSet::new(), 4);
     }
 
     #[test]
@@ -698,29 +537,21 @@ mod tests {
         assert_eq!(inc.epochs_done(), 0);
 
         // User paints two samples; idle loop trains a little.
-        inc.add_sample(vec![0.0, 0.0], vec![0.0]);
-        inc.add_sample(vec![1.0, 1.0], vec![0.0]);
+        let (mut first, mut rest) = (TrainingSet::new(), TrainingSet::new());
+        first.add1(vec![0.0, 0.0], 0.0);
+        first.add1(vec![1.0, 1.0], 0.0);
+        inc.add_set(&first);
         inc.step(50).unwrap();
         assert_eq!(inc.epochs_done(), 50);
 
         // User adds the rest; training continues from current weights.
-        inc.add_sample(vec![0.0, 1.0], vec![1.0]);
-        inc.add_sample(vec![1.0, 0.0], vec![1.0]);
-        let final_loss = inc.train_until(0.01, 4000).unwrap();
+        rest.add1(vec![0.0, 1.0], 1.0);
+        rest.add1(vec![1.0, 0.0], 1.0);
+        inc.add_set(&rest);
+        let final_loss = inc.step(4000).unwrap();
         assert!(final_loss < 0.01, "loss {final_loss}");
-        assert_eq!(inc.num_samples(), 4);
+        assert_eq!(inc.epochs_done(), 4050);
         assert_eq!(inc.loss_history().len(), inc.epochs_done());
-    }
-
-    #[test]
-    fn reshape_resets_state() {
-        let mut inc = IncrementalTrainer::new(Mlp::three_layer(3, 4, 0), TrainParams::default());
-        inc.add_sample(vec![0.0; 3], vec![0.5]);
-        inc.step(5);
-        inc.reshape(Mlp::three_layer(2, 4, 0));
-        assert_eq!(inc.num_samples(), 0);
-        assert_eq!(inc.epochs_done(), 0);
-        assert_eq!(inc.network().input_size(), 2);
     }
 
     #[test]

@@ -19,15 +19,6 @@ fn normalize(v: [f32; 3]) -> [f32; 3] {
     }
 }
 
-/// Projection model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Projection {
-    /// Parallel rays; `half_extent` sets the window half-height in voxels.
-    Orthographic,
-    /// Rays diverge from the eye; field-of-view half-angle in radians.
-    Perspective { fov_half: f32 },
-}
-
 /// Camera orbiting the center of a volume.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
@@ -41,8 +32,6 @@ pub struct Camera {
     pub distance: f32,
     /// Half-height of the orthographic view window in voxels.
     pub half_extent: f32,
-    /// Projection model.
-    pub projection: Projection,
 }
 
 impl Camera {
@@ -60,18 +49,7 @@ impl Camera {
             elevation,
             distance: diag,
             half_extent: diag * 0.5,
-            projection: Projection::Orthographic,
         }
-    }
-
-    /// Same framing with a perspective projection (the FOV chosen so the
-    /// volume roughly fills the window at the camera distance).
-    pub fn framing_perspective(dims: Dims3, azimuth: f32, elevation: f32) -> Self {
-        let mut c = Self::framing(dims, azimuth, elevation);
-        c.projection = Projection::Perspective {
-            fov_half: (c.half_extent / c.distance).atan(),
-        };
-        c
     }
 
     /// Camera position in voxel space.
@@ -109,8 +87,7 @@ impl Camera {
     }
 
     /// Ray through pixel `(px, py)` of a `w`×`h` framebuffer: returns
-    /// `(origin, direction)`. Orthographic rays share the view direction;
-    /// perspective rays all start at the eye and diverge.
+    /// `(origin, direction)`. Every ray shares the view direction.
     pub fn ray(&self, px: usize, py: usize, w: usize, h: usize) -> ([f32; 3], [f32; 3]) {
         let dir = self.view_dir();
         let (right, up) = self.basis();
@@ -119,29 +96,14 @@ impl Camera {
         let nx = 2.0 * (px as f32 + 0.5) / w as f32 - 1.0;
         let ny = 1.0 - 2.0 * (py as f32 + 0.5) / h as f32;
         let pos = self.position();
-        match self.projection {
-            Projection::Orthographic => {
-                let sx = nx * self.half_extent * aspect;
-                let sy = ny * self.half_extent;
-                let origin = [
-                    pos[0] + right[0] * sx + up[0] * sy,
-                    pos[1] + right[1] * sx + up[1] * sy,
-                    pos[2] + right[2] * sx + up[2] * sy,
-                ];
-                (origin, dir)
-            }
-            Projection::Perspective { fov_half } => {
-                let t = fov_half.tan();
-                let sx = nx * t * aspect;
-                let sy = ny * t;
-                let d = normalize([
-                    dir[0] + right[0] * sx + up[0] * sy,
-                    dir[1] + right[1] * sx + up[1] * sy,
-                    dir[2] + right[2] * sx + up[2] * sy,
-                ]);
-                (pos, d)
-            }
-        }
+        let sx = nx * self.half_extent * aspect;
+        let sy = ny * self.half_extent;
+        let origin = [
+            pos[0] + right[0] * sx + up[0] * sy,
+            pos[1] + right[1] * sx + up[1] * sy,
+            pos[2] + right[2] * sx + up[2] * sy,
+        ];
+        (origin, dir)
     }
 }
 
@@ -214,28 +176,6 @@ mod tests {
         let (_, d1) = c.ray(0, 0, 16, 16);
         let (_, d2) = c.ray(15, 15, 16, 16);
         assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn perspective_rays_diverge_from_eye() {
-        let c = Camera::framing_perspective(Dims3::cube(32), 0.4, 0.2);
-        let (o1, d1) = c.ray(0, 0, 16, 16);
-        let (o2, d2) = c.ray(15, 15, 16, 16);
-        assert_eq!(o1, o2, "perspective rays share the eye");
-        assert_ne!(d1, d2, "perspective rays diverge");
-        assert!((len3(d1) - 1.0).abs() < 1e-4);
-        assert!((len3(d2) - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn perspective_center_ray_matches_view_dir() {
-        let c = Camera::framing_perspective(Dims3::cube(32), 1.1, -0.3);
-        // A 1x1 image's only ray goes straight through the window center.
-        let (_, d) = c.ray(0, 0, 1, 1);
-        let v = c.view_dir();
-        for k in 0..3 {
-            assert!((d[k] - v[k]).abs() < 1e-4);
-        }
     }
 
     #[test]

@@ -95,23 +95,6 @@ impl Image {
         let mut f = std::fs::File::create(path)?;
         f.write_all(&self.to_ppm())
     }
-
-    /// Build a grayscale image from 2D slice data (row-major), normalizing
-    /// to the occupied range — used for the interactive slice views.
-    pub fn from_slice_data(w: usize, h: usize, data: &[f32]) -> Self {
-        assert_eq!(data.len(), w * h);
-        let lo = data.iter().cloned().fold(f32::INFINITY, f32::min);
-        let hi = data.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let span = (hi - lo).max(1e-12);
-        let mut img = Image::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                let t = (data[x + w * y] - lo) / span;
-                img.set_pixel(x, y, [t, t, t]);
-            }
-        }
-        img
-    }
 }
 
 #[cfg(test)]
@@ -156,13 +139,6 @@ mod tests {
         assert_eq!(a.mse(&a.clone()), 0.0);
         let b = Image::new(3, 3);
         assert!(a.mse(&b) > 0.0);
-    }
-
-    #[test]
-    fn from_slice_normalizes() {
-        let img = Image::from_slice_data(2, 1, &[1.0, 3.0]);
-        assert_eq!(img.pixel(0, 0), [0.0; 3]);
-        assert_eq!(img.pixel(1, 0), [1.0; 3]);
     }
 
     #[test]

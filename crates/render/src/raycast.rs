@@ -19,10 +19,6 @@ pub struct RenderParams {
     pub shading: bool,
     /// Ambient light factor when shading.
     pub ambient: f32,
-    /// Specular highlight strength (0 disables the specular term).
-    pub specular: f32,
-    /// Specular exponent (shininess).
-    pub shininess: f32,
     /// Global opacity scale applied to TF lookups (per-sample, corrected for
     /// step length against a reference step of 1 voxel).
     pub opacity_scale: f32,
@@ -47,8 +43,6 @@ impl Default for RenderParams {
             early_termination: 0.98,
             shading: true,
             ambient: 0.35,
-            specular: 0.0,
-            shininess: 32.0,
             opacity_scale: 1.0,
             background: [0.0; 3],
             packet: 0,
@@ -279,15 +273,6 @@ impl Renderer {
                             let shade = p.ambient + (1.0 - p.ambient) * ndotl;
                             for ch in &mut c {
                                 *ch *= shade;
-                            }
-                            // Headlight specular: the half-vector coincides
-                            // with the light/view direction, so the highlight
-                            // is |n·l|^s.
-                            if p.specular > 0.0 {
-                                let spec = p.specular * ndotl.powf(p.shininess);
-                                for ch in &mut c {
-                                    *ch += spec;
-                                }
                             }
                         }
                         let wgt = a * (1.0 - alpha);
@@ -544,29 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn specular_adds_highlights() {
-        let (vol, tf, cam) = setup(20);
-        let mut plain = Renderer::default();
-        plain.params.specular = 0.0;
-        let mut shiny = Renderer::default();
-        shiny.params.specular = 0.8;
-        shiny.params.shininess = 8.0;
-        let a = plain.render(&vol, &tf, ColorMap::Grayscale, &cam, 32, 32);
-        let b = shiny.render(&vol, &tf, ColorMap::Grayscale, &cam, 32, 32);
-        assert!(b.mean_luminance() > a.mean_luminance());
-    }
-
-    #[test]
-    fn perspective_projection_renders_the_ball() {
-        let (vol, tf, _) = setup(24);
-        let cam = crate::camera::Camera::framing_perspective(vol.dims(), 0.6, 0.4);
-        let img = Renderer::default().render(&vol, &tf, ColorMap::Grayscale, &cam, 48, 48);
-        let center = img.pixel(24, 24);
-        let corner = img.pixel(1, 1);
-        assert!(center[0] > corner[0] + 0.2, "{center:?} vs {corner:?}");
-    }
-
-    #[test]
     fn overlay_highlights_tracked_feature_in_red() {
         let (vol, tf, cam) = setup(24);
         let tracked = Mask3::threshold(&vol, 0.5);
@@ -632,19 +594,6 @@ mod tests {
             none.mean_luminance() < 1e-6,
             "zero certainty must render black"
         );
-    }
-
-    #[test]
-    fn classified_render_honours_specular() {
-        let (vol, _, cam) = setup(20);
-        let at = |specular: f32| {
-            let mut r = Renderer::default();
-            r.params.specular = specular;
-            r.render_classified(&vol, &vol, ColorMap::Grayscale, &cam, 32, 32)
-        };
-        let (plain, shiny) = (at(0.0), at(0.6));
-        assert_ne!(plain, shiny, "specular must change a classified render");
-        assert!(shiny.mean_luminance() > plain.mean_luminance());
     }
 
     #[test]
@@ -717,7 +666,6 @@ mod tests {
         let at = |packet: usize| {
             let mut r = Renderer::default();
             r.params.packet = packet;
-            r.params.specular = 0.4;
             let dvr = r.render(&vol, &tf, ColorMap::Rainbow, &cam, 24, 24);
             let cls = r.render_classified(&vol, &vol, ColorMap::Grayscale, &cam, 24, 24);
             let mip = r.render_mip(&vol, ColorMap::Grayscale, &cam, 24, 24);
@@ -755,9 +703,8 @@ mod tests {
         // Pins each mode's output bits so a reordered shading or blend term
         // shows up even where no visual test would notice. The blob sits off
         // centre, so rays cross it at many depths and angles.
-        const PINNED: [(&str, u64); 5] = [
+        const PINNED: [(&str, u64); 4] = [
             ("dvr", 0x1ec0_f2b6_3810_4f48),
-            ("dvr specular 0.4", 0x445d_4c2d_7c38_4e92),
             ("overlay", 0x120d_00ca_1528_0c9d),
             ("classified", 0xa720_48e5_a077_8ffc),
             ("mip", 0xae4b_4cc4_e67c_54b5),
@@ -782,11 +729,8 @@ mod tests {
         for packet in [1usize, 8, 64] {
             let mut r = Renderer::default();
             r.params.packet = packet;
-            let mut shiny = r.clone();
-            shiny.params.specular = 0.4;
             let got = [
                 r.render(&vol, &base, ColorMap::Rainbow, &cam, 32, 32),
-                shiny.render(&vol, &base, ColorMap::Rainbow, &cam, 32, 32),
                 render_tracking_overlay(
                     &r,
                     &vol,

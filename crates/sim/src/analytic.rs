@@ -1,39 +1,6 @@
 //! Closed-form velocity fields used as initial conditions and workloads.
 
 use ifet_volume::{Dims3, VectorVolume};
-use std::f32::consts::PI;
-
-/// Taylor–Green vortex on `[0, 2π]³` mapped over the grid; a classical
-/// divergence-free benchmark field.
-pub fn taylor_green(dims: Dims3, amplitude: f32) -> VectorVolume {
-    let sx = 2.0 * PI / dims.nx as f32;
-    let sy = 2.0 * PI / dims.ny as f32;
-    let sz = 2.0 * PI / dims.nz as f32;
-    VectorVolume::from_fn(dims, |x, y, z| {
-        let (px, py, pz) = (x as f32 * sx, y as f32 * sy, z as f32 * sz);
-        [
-            amplitude * px.cos() * py.sin() * pz.sin(),
-            -amplitude * px.sin() * py.cos() * pz.sin() * 0.5,
-            -amplitude * px.sin() * py.sin() * pz.cos() * 0.5,
-        ]
-    })
-}
-
-/// Arnold–Beltrami–Childress flow, a chaotic steady solution of Euler's
-/// equations; good for generating tangled vortex structures.
-pub fn abc_flow(dims: Dims3, a: f32, b: f32, c: f32) -> VectorVolume {
-    let sx = 2.0 * PI / dims.nx as f32;
-    let sy = 2.0 * PI / dims.ny as f32;
-    let sz = 2.0 * PI / dims.nz as f32;
-    VectorVolume::from_fn(dims, |x, y, z| {
-        let (px, py, pz) = (x as f32 * sx, y as f32 * sy, z as f32 * sz);
-        [
-            a * pz.sin() + c * py.cos(),
-            b * px.sin() + a * pz.cos(),
-            c * py.sin() + b * px.cos(),
-        ]
-    })
-}
 
 /// A temporally-evolving plane jet: streamwise (x) velocity with a
 /// `sech²` profile across y, centered mid-domain with half-width `delta`
@@ -121,32 +88,6 @@ pub fn rotation_pathline(p0: [f64; 3], center: [f64; 3], omega: f32, t: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn taylor_green_is_divergence_free_interior() {
-        let f = taylor_green(Dims3::cube(24), 1.0);
-        let div = f.divergence();
-        // Sample interior voxels; central differences of a smooth
-        // divergence-free field should be near zero.
-        let mut max_abs: f32 = 0.0;
-        for z in 4..20 {
-            for y in 4..20 {
-                for x in 4..20 {
-                    max_abs = max_abs.max(div.get(x, y, z).abs());
-                }
-            }
-        }
-        assert!(max_abs < 0.05, "max |div| = {max_abs}");
-    }
-
-    #[test]
-    fn abc_flow_magnitude_bounded() {
-        let f = abc_flow(Dims3::cube(16), 1.0, 1.0, 1.0);
-        let m = f.magnitude();
-        let (_, hi) = m.value_range();
-        assert!(hi <= 2.0 * 3.0f32.sqrt() + 1e-3);
-        assert!(hi > 0.5);
-    }
 
     #[test]
     fn plane_jet_peaks_at_centerline() {

@@ -90,22 +90,6 @@ impl FluidSolver {
         VectorVolume::from_components(&self.u, &self.v, &self.w)
     }
 
-    /// Add `dt * f(x, y, z)` to the velocity (body force).
-    pub fn add_force(&mut self, f: impl Fn(usize, usize, usize) -> [f32; 3]) {
-        let dt = self.params.dt;
-        let d = self.dims;
-        for z in 0..d.nz {
-            for y in 0..d.ny {
-                for x in 0..d.nx {
-                    let a = f(x, y, z);
-                    *self.u.get_mut(x, y, z) += dt * a[0];
-                    *self.v.get_mut(x, y, z) += dt * a[1];
-                    *self.w.get_mut(x, y, z) += dt * a[2];
-                }
-            }
-        }
-    }
-
     /// Advance one time step: diffuse → project → advect → project.
     pub fn step(&mut self) {
         let visc = self.params.viscosity;
@@ -123,11 +107,6 @@ impl FluidSolver {
         self.project();
         self.enforce_no_slip();
         self.step_count += 1;
-    }
-
-    /// Passive-scalar transport by the current velocity field.
-    pub fn advect_scalar(&self, field: &ScalarVolume) -> ScalarVolume {
-        advect(field, &self.velocity(), self.params.dt)
     }
 
     /// Vorticity magnitude of the current velocity — the scalar the
@@ -199,50 +178,6 @@ impl FluidSolver {
                 zero(0, y, z, self);
                 zero(d.nx - 1, y, z, self);
             }
-        }
-    }
-
-    /// Vorticity confinement (Fedkiw-style): re-inject small-scale swirl
-    /// that the semi-Lagrangian scheme dissipates, scaled by `epsilon`.
-    /// Call between steps to keep turbulent structures alive longer.
-    pub fn confine_vorticity(&mut self, epsilon: f32) {
-        let d = self.dims;
-        let curl = self.velocity().curl();
-        let mag = curl.magnitude();
-        let dt = self.params.dt;
-        for z in 1..d.nz.saturating_sub(1) {
-            for y in 1..d.ny.saturating_sub(1) {
-                for x in 1..d.nx.saturating_sub(1) {
-                    // Gradient of |ω|, normalized: points toward stronger swirl.
-                    let gx = (mag.get(x + 1, y, z) - mag.get(x - 1, y, z)) * 0.5;
-                    let gy = (mag.get(x, y + 1, z) - mag.get(x, y - 1, z)) * 0.5;
-                    let gz = (mag.get(x, y, z + 1) - mag.get(x, y, z - 1)) * 0.5;
-                    let len = (gx * gx + gy * gy + gz * gz).sqrt();
-                    if len < 1e-6 {
-                        continue;
-                    }
-                    let (nx, ny, nz) = (gx / len, gy / len, gz / len);
-                    let w = curl.get(x, y, z);
-                    // f = ε (N × ω)
-                    let fx = epsilon * (ny * w[2] - nz * w[1]);
-                    let fy = epsilon * (nz * w[0] - nx * w[2]);
-                    let fz = epsilon * (nx * w[1] - ny * w[0]);
-                    *self.u.get_mut(x, y, z) += dt * fx;
-                    *self.v.get_mut(x, y, z) += dt * fy;
-                    *self.w.get_mut(x, y, z) += dt * fz;
-                }
-            }
-        }
-    }
-
-    /// Buoyancy force from a scalar (temperature/fuel) field: hot regions
-    /// rise along +z — the force driving the combustion-style plumes.
-    pub fn add_buoyancy(&mut self, temperature: &ScalarVolume, alpha: f32) {
-        assert_eq!(temperature.dims(), self.dims);
-        let ambient = temperature.mean();
-        let dt = self.params.dt;
-        for (i, &t) in temperature.as_slice().iter().enumerate() {
-            self.w.as_mut_slice()[i] += dt * alpha * (t - ambient);
         }
     }
 
@@ -389,16 +324,9 @@ mod tests {
         let d = Dims3::cube(16);
         // Uniform +x wind.
         let wind = VectorVolume::from_fn(d, |_, _, _| [2.0, 0.0, 0.0]);
-        let s = FluidSolver::with_velocity(
-            &wind,
-            FluidParams {
-                dt: 1.0,
-                ..Default::default()
-            },
-        );
         let mut blob = ScalarVolume::zeros(d);
         blob.set(5, 8, 8, 1.0);
-        let moved = s.advect_scalar(&blob);
+        let moved = advect(&blob, &wind, 1.0);
         // Backtrace from (7,8,8) lands on (5,8,8).
         assert!(*moved.get(7, 8, 8) > 0.9, "blob should appear at x=7");
         assert!(*moved.get(5, 8, 8) < 0.1, "blob should leave x=5");
@@ -432,59 +360,5 @@ mod tests {
         assert_eq!(vel.get(0, 5, 5), [0.0; 3]);
         assert_eq!(vel.get(d.nx - 1, 5, 5), [0.0; 3]);
         assert_eq!(vel.get(5, 0, 5), [0.0; 3]);
-    }
-
-    #[test]
-    fn add_force_injects_momentum() {
-        let mut s = FluidSolver::new(Dims3::cube(8), FluidParams::default());
-        s.add_force(|_, _, _| [1.0, 0.0, 0.0]);
-        assert!(s.kinetic_energy() > 0.0);
-    }
-
-    #[test]
-    fn vorticity_confinement_slows_decay() {
-        let run = |epsilon: f32| {
-            let mut s = small_solver();
-            for _ in 0..8 {
-                if epsilon > 0.0 {
-                    s.confine_vorticity(epsilon);
-                }
-                s.step();
-            }
-            s.vorticity_magnitude().max_value().unwrap()
-        };
-        let plain = run(0.0);
-        let confined = run(0.6);
-        assert!(
-            confined > plain,
-            "confinement should retain vorticity: {confined} vs {plain}"
-        );
-    }
-
-    #[test]
-    fn confinement_on_quiescent_fluid_is_noop() {
-        let mut s = FluidSolver::new(Dims3::cube(8), FluidParams::default());
-        s.confine_vorticity(1.0);
-        assert_eq!(s.kinetic_energy(), 0.0);
-    }
-
-    #[test]
-    fn buoyancy_lifts_hot_region() {
-        let d = Dims3::cube(12);
-        let mut s = FluidSolver::new(d, FluidParams::default());
-        let temp = ScalarVolume::from_fn(d, |_, _, z| if z < 3 { 2.0 } else { 0.0 });
-        s.add_buoyancy(&temp, 1.0);
-        // Hot bottom gets upward velocity; cold top gets (relative) downdraft.
-        let vel = s.velocity();
-        assert!(vel.get(6, 6, 1)[2] > 0.0);
-        assert!(vel.get(6, 6, 10)[2] < 0.0);
-    }
-
-    #[test]
-    fn uniform_temperature_gives_no_buoyancy() {
-        let d = Dims3::cube(8);
-        let mut s = FluidSolver::new(d, FluidParams::default());
-        s.add_buoyancy(&ScalarVolume::filled(d, 5.0), 2.0);
-        assert!(s.kinetic_energy() < 1e-12);
     }
 }

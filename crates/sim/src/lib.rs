@@ -11,7 +11,8 @@
 //! - [`fluid::FluidSolver`] — a 3D incompressible stable-fluids solver
 //!   (semi-Lagrangian advection, viscous diffusion, pressure projection),
 //! - [`noise::ValueNoise`] — seeded 3D value noise / fBm,
-//! - [`analytic`] — closed-form velocity fields (Taylor–Green, ABC, plane jet).
+//! - [`analytic`] — closed-form velocity fields (plane jet, Gaussian swirl,
+//!   and uniform flow and rigid rotation with closed-form pathlines).
 //!
 //! Datasets (each returns a [`LabeledSeries`]):
 //! - [`shock_bubble`](mod@shock_bubble) — Figures 2–4: drifting-value "smoke ring",

@@ -3,8 +3,6 @@
 //! Used to give the procedural datasets plausible turbulent texture while
 //! staying fully deterministic (same seed → bit-identical volumes).
 
-use ifet_volume::{Dims3, ScalarVolume};
-
 /// Deterministic 3D value noise on an integer lattice with trilinear
 /// interpolation and smoothstep fade.
 #[derive(Debug, Clone, Copy)]
@@ -73,17 +71,6 @@ impl ValueNoise {
         }
         total / norm
     }
-
-    /// Fill a volume with fBm noise at base frequency `freq` (cycles per
-    /// volume edge).
-    pub fn fbm_volume(&self, dims: Dims3, freq: f32, octaves: usize, gain: f32) -> ScalarVolume {
-        let sx = freq / dims.nx as f32;
-        let sy = freq / dims.ny as f32;
-        let sz = freq / dims.nz as f32;
-        ScalarVolume::from_fn(dims, |x, y, z| {
-            self.fbm(x as f32 * sx, y as f32 * sy, z as f32 * sz, octaves, gain)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -123,14 +110,6 @@ mod tests {
     fn matches_lattice_at_integers() {
         let n = ValueNoise::new(11);
         assert!((n.sample(2.0, 3.0, 4.0) - n.lattice(2, 3, 4)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fbm_volume_has_texture() {
-        let n = ValueNoise::new(5);
-        let v = n.fbm_volume(Dims3::cube(16), 4.0, 3, 0.5);
-        let (lo, hi) = v.value_range();
-        assert!(hi - lo > 0.1, "noise should have spread, got [{lo}, {hi}]");
     }
 
     #[test]

@@ -73,10 +73,6 @@ impl IatfBuilder {
         self
     }
 
-    pub fn num_key_frames(&self) -> usize {
-        self.key_frames.len()
-    }
-
     /// Assemble the training set from the key frames and the series' data
     /// distributions (one row per TF table entry per key frame). Generic over
     /// the frame source: only the key frames are paged in, one at a time —

@@ -52,14 +52,6 @@ fn series_histograms<S: FrameSource + ?Sized>(series: &S, bins: usize) -> Vec<Hi
         .collect()
 }
 
-/// Distribution change between consecutive frames.
-pub fn change_curve<S: FrameSource + ?Sized>(series: &S, bins: usize) -> Vec<f64> {
-    let hs = series_histograms(series, bins);
-    hs.windows(2)
-        .map(|w| histogram_distance(&w[0], &w[1]))
-        .collect()
-}
-
 /// Jankun-Kelly & Ma's behaviour categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TemporalBehavior {
@@ -200,14 +192,6 @@ mod tests {
         let a = Histogram::of_values(&[0.1, 0.2, 0.3], 32, 0.0, 1.0);
         let b = Histogram::of_values(&[0.6, 0.7], 32, 0.0, 1.0);
         assert!((emd_distance(&a, &b) - emd_distance(&b, &a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn change_curve_flags_the_jump() {
-        let s = shifted_series(&[0.0, 0.0, 0.5, 0.5]);
-        let c = change_curve(&s, 32);
-        assert_eq!(c.len(), 3);
-        assert!(c[1] > c[0] + 0.2 && c[1] > c[2] + 0.2, "{c:?}");
     }
 
     #[test]

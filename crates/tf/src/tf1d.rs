@@ -69,19 +69,6 @@ impl TransferFunction1D {
         })
     }
 
-    /// A tent (triangular) pulse centered at `center` with half-width `width`.
-    pub fn tent(lo: f32, hi: f32, center: f32, width: f32, peak: f32) -> Self {
-        assert!(width > 0.0);
-        Self::from_fn(lo, hi, |v| {
-            let d = (v - center).abs() / width;
-            if d >= 1.0 {
-                0.0
-            } else {
-                peak * (1.0 - d)
-            }
-        })
-    }
-
     /// Piecewise-linear TF through `(value, opacity)` control points
     /// (image-driven editing). Points are sorted internally; opacity outside
     /// the first/last point is held constant.
@@ -158,11 +145,6 @@ impl TransferFunction1D {
         self.opacity[self.entry_of(v)]
     }
 
-    /// Set the opacity of entry `i`.
-    pub fn set_entry(&mut self, i: usize, o: f32) {
-        self.opacity[i] = o.clamp(0.0, 1.0);
-    }
-
     /// The value range where opacity exceeds `threshold` (None if nowhere).
     pub fn support(&self, threshold: f32) -> Option<(f32, f32)> {
         let first = self.opacity.iter().position(|&o| o > threshold)?;
@@ -218,14 +200,6 @@ mod tests {
         let tf = TransferFunction1D::band(0.0, 1.0, 0.0, 0.1, 1.0);
         assert_eq!(tf.opacity_at(-5.0), 1.0); // clamps to first entry
         assert_eq!(tf.opacity_at(5.0), 0.0);
-    }
-
-    #[test]
-    fn tent_peaks_at_center() {
-        let tf = TransferFunction1D::tent(0.0, 2.0, 1.0, 0.5, 1.0);
-        assert!(tf.opacity_at(1.0) > 0.95);
-        assert!((tf.opacity_at(0.75) - 0.5).abs() < 0.05);
-        assert_eq!(tf.opacity_at(0.25), 0.0);
     }
 
     #[test]
@@ -367,12 +341,5 @@ mod tests {
     #[should_panic]
     fn bad_domain_panics() {
         let _ = TransferFunction1D::transparent(1.0, 1.0);
-    }
-
-    #[test]
-    fn set_entry_clamps() {
-        let mut tf = TransferFunction1D::transparent(0.0, 1.0);
-        tf.set_entry(10, 2.0);
-        assert_eq!(tf.table()[10], 1.0);
     }
 }

@@ -74,24 +74,6 @@ impl TransferFunction2D {
         })
     }
 
-    /// Boundary-emphasis TF: opacity grows with gradient magnitude inside a
-    /// value band (the classic "show me material interfaces" design).
-    pub fn boundary_emphasis(
-        v_domain: (f32, f32),
-        g_domain: (f32, f32),
-        v_band: (f32, f32),
-        peak: f32,
-    ) -> Self {
-        let g_span = (g_domain.1 - g_domain.0).max(1e-12);
-        Self::from_fn(v_domain, g_domain, |v, g| {
-            if v >= v_band.0 && v <= v_band.1 {
-                peak * ((g - g_domain.0) / g_span).clamp(0.0, 1.0)
-            } else {
-                0.0
-            }
-        })
-    }
-
     /// Opacity for a `(value, gradient magnitude)` pair (clamped lookup).
     pub fn opacity_at(&self, v: f32, g: f32) -> f32 {
         let vi = bin_of(v, self.v_lo, self.v_hi);
@@ -141,13 +123,6 @@ mod tests {
     fn lookup_clamps_out_of_domain() {
         let tf = TransferFunction2D::band((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), 1.0);
         assert_eq!(tf.opacity_at(-5.0, 99.0), 1.0);
-    }
-
-    #[test]
-    fn boundary_emphasis_grows_with_gradient() {
-        let tf = TransferFunction2D::boundary_emphasis((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), 1.0);
-        assert!(tf.opacity_at(0.5, 0.9) > tf.opacity_at(0.5, 0.1));
-        assert!(tf.opacity_at(0.5, 0.05) < 0.2);
     }
 
     #[test]

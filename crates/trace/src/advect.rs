@@ -94,11 +94,6 @@ impl PathlineSet {
             .filter(|p| p.ending == ParticleEnding::Completed)
             .count()
     }
-
-    /// Particles that ended early (left the domain or went non-finite).
-    pub fn ended_early(&self) -> usize {
-        self.pathlines.len() - self.completed()
-    }
 }
 
 /// Velocity at an arbitrary point inside one frame interval: trilinear in

@@ -56,11 +56,6 @@ impl Track {
             .map(|w| w[0].centroid_distance(&w[1]))
             .sum()
     }
-
-    /// Volume time series.
-    pub fn volume_curve(&self) -> Vec<usize> {
-        self.attributes.iter().map(|a| a.volume).collect()
-    }
 }
 
 /// The full set of tracks extracted from a mask sequence.
@@ -77,11 +72,6 @@ impl TrackSet {
         self.tracks
             .iter()
             .filter(move |t| fi >= t.start_frame && fi < t.start_frame + t.lifetime())
-    }
-
-    /// The longest-lived track.
-    pub fn longest(&self) -> Option<&Track> {
-        self.tracks.iter().max_by_key(|t| t.lifetime())
     }
 }
 
@@ -330,7 +320,8 @@ mod tests {
         let set = extract_tracks(&masks, &[&v, &v, &v]);
         assert_eq!(set.alive_at(0).count(), 1);
         assert_eq!(set.alive_at(2).count(), 1);
-        assert_eq!(set.longest().unwrap().lifetime(), 3);
+        assert_eq!(set.tracks.len(), 1);
+        assert_eq!(set.tracks[0].lifetime(), 3);
     }
 
     #[test]
@@ -343,7 +334,7 @@ mod tests {
         ];
         let v = flat(d);
         let set = extract_tracks(&masks, &[&v, &v, &v]);
-        let curve = set.tracks[0].volume_curve();
+        let curve: Vec<usize> = set.tracks[0].attributes.iter().map(|a| a.volume).collect();
         assert!(curve[0] < curve[1] && curve[1] < curve[2], "{curve:?}");
     }
 }

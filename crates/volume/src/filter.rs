@@ -69,15 +69,6 @@ pub fn repeated_blur(vol: &ScalarVolume, sigma: f32, passes: usize) -> ScalarVol
     cur
 }
 
-/// 3D box blur with half-width `r` (kernel size `2r+1` per axis), separable.
-pub fn box_blur(vol: &ScalarVolume, r: usize) -> ScalarVolume {
-    let n = 2 * r + 1;
-    let k = vec![1.0 / n as f32; n];
-    let a = convolve_axis(vol, &k, 0);
-    let b = convolve_axis(&a, &k, 1);
-    convolve_axis(&b, &k, 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,20 +173,5 @@ mod tests {
                 |v: &ScalarVolume| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "threads {threads}");
         }
-    }
-
-    #[test]
-    fn box_blur_of_impulse_is_uniform_in_kernel() {
-        let mut v = ScalarVolume::zeros(Dims3::cube(7));
-        v.set(3, 3, 3, 27.0);
-        let b = box_blur(&v, 1);
-        for z in 2..=4 {
-            for y in 2..=4 {
-                for x in 2..=4 {
-                    assert!((b.get(x, y, z) - 1.0).abs() < 1e-5);
-                }
-            }
-        }
-        assert_eq!(*b.get(0, 0, 0), 0.0);
     }
 }

@@ -171,19 +171,6 @@ pub fn write_compressed(path: &Path, vol: &ScalarVolume, meta: &VolumeMeta) -> R
     Ok(())
 }
 
-/// Read a volume written by [`write_raw`]. The sidecar supplies dimensions.
-pub fn read_raw(path: &Path) -> Result<(ScalarVolume, VolumeMeta), IoError> {
-    // Runtime counters only — no span. Read counts depend on the paging
-    // schedule (an out-of-core run re-reads evicted frames), and spans
-    // survive `to_stable`, so a per-read span would make stable traces
-    // differ across cache capacities.
-    let meta = read_sidecar(path)?;
-    if meta.dtype != "f32le" {
-        return Err(IoError::UnsupportedDtype(meta.dtype.clone()));
-    }
-    read_raw_payload(path, meta)
-}
-
 /// Bytes per read in [`read_raw_payload`]: a stack buffer, a whole number
 /// of `f32`s.
 const READ_CHUNK: usize = 64 * 1024;
@@ -208,6 +195,11 @@ fn read_raw_payload(path: &Path, meta: VolumeMeta) -> Result<(ScalarVolume, Volu
 /// chunk. The reader must end right after them: one that ends early or
 /// holds more (a file whose length changed after it was checked) gives
 /// `SizeMismatch` with the bytes it held, as reading it to the end would.
+///
+/// Kept out of line: inlined through `read_raw_payload` into
+/// [`read_frame`], its loop decoded a 64³ frame at half the speed
+/// (0.16 → 0.31 ms per frame from the page cache, x86-64).
+#[inline(never)]
 fn decode_f32le(r: &mut impl Read, n: usize) -> Result<Vec<f32>, IoError> {
     let expected = n * 4;
     let mut data = Vec::with_capacity(n);
@@ -261,6 +253,10 @@ fn read_compressed_payload(
 /// Read a frame of either flavor, dispatching on the sidecar `dtype`:
 /// raw `"f32le"` payloads and [`codec::DTYPE`] compressed containers.
 pub fn read_frame(path: &Path) -> Result<(ScalarVolume, VolumeMeta), IoError> {
+    // Runtime counters only — no span. Read counts depend on the paging
+    // schedule (an out-of-core run re-reads evicted frames), and spans
+    // survive `to_stable`, so a per-read span would make stable traces
+    // differ across cache capacities.
     let meta = read_sidecar(path)?;
     match meta.dtype.as_str() {
         "f32le" => read_raw_payload(path, meta),
@@ -290,20 +286,33 @@ pub fn write_series_with(
     compress: bool,
 ) -> Result<Vec<PathBuf>, IoError> {
     std::fs::create_dir_all(dir)?;
+    series
+        .iter()
+        .map(|(t, frame)| write_series_frame(dir, prefix, t, frame, compress))
+        .collect()
+}
+
+/// Write the frame for step `t` as `dir/{prefix}_t<step>.raw`, or `.rawz`
+/// when `compress`, with the step in its sidecar. Returns the path. The one
+/// frame-file writer behind [`write_series_with`] and
+/// [`crate::OutOfCoreSink`].
+pub(crate) fn write_series_frame(
+    dir: &Path,
+    prefix: &str,
+    t: u32,
+    vol: &ScalarVolume,
+    compress: bool,
+) -> Result<PathBuf, IoError> {
     let ext = if compress { "rawz" } else { "raw" };
-    let mut paths = Vec::new();
-    for (t, frame) in series.iter() {
-        let p = dir.join(format!("{prefix}_t{t:05}.{ext}"));
-        let mut meta = VolumeMeta::new(frame.dims());
-        meta.step = Some(t);
-        if compress {
-            write_compressed(&p, frame, &meta)?;
-        } else {
-            write_raw(&p, frame, &meta)?;
-        }
-        paths.push(p);
+    let p = dir.join(format!("{prefix}_t{t:05}.{ext}"));
+    let mut meta = VolumeMeta::new(vol.dims());
+    meta.step = Some(t);
+    if compress {
+        write_compressed(&p, vol, &meta)?;
+    } else {
+        write_raw(&p, vol, &meta)?;
     }
-    Ok(paths)
+    Ok(p)
 }
 
 /// Whether `p` names a frame file: raw `.raw` or compressed `.rawz`.
@@ -407,7 +416,7 @@ mod tests {
         let mut meta = VolumeMeta::new(v.dims());
         meta.variable = Some("density".into());
         write_raw(&p, &v, &meta).unwrap();
-        let (back, meta2) = read_raw(&p).unwrap();
+        let (back, meta2) = read_frame(&p).unwrap();
         assert_eq!(back, v);
         assert_eq!(meta2.variable.as_deref(), Some("density"));
         std::fs::remove_dir_all(dir).ok();
@@ -421,7 +430,7 @@ mod tests {
         write_raw(&p, &v, &VolumeMeta::new(v.dims())).unwrap();
         // Corrupt: truncate the raw file.
         std::fs::write(&p, [0u8; 4]).unwrap();
-        match read_raw(&p) {
+        match read_frame(&p) {
             Err(IoError::SizeMismatch { expected, got }) => {
                 assert_eq!(expected, 32);
                 assert_eq!(got, 4);
@@ -467,13 +476,11 @@ mod tests {
         assert!(v.dims().len() * 4 > READ_CHUNK && (v.dims().len() * 4) % READ_CHUNK != 0);
         let p = dir.join("v.raw");
         write_raw(&p, &v, &VolumeMeta::new(v.dims())).unwrap();
-        // Both the strict reader and the dispatching one (the in-core
-        // series and the out-of-core copy path).
-        for (back, _) in [read_raw(&p).unwrap(), read_frame(&p).unwrap()] {
-            assert_eq!(back.dims(), v.dims());
-            for (a, b) in v.as_slice().iter().zip(back.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+        // The reader behind the in-core series and the out-of-core copy path.
+        let (back, _) = read_frame(&p).unwrap();
+        assert_eq!(back.dims(), v.dims());
+        for (a, b) in v.as_slice().iter().zip(back.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
         std::fs::remove_dir_all(dir).ok();
     }
@@ -494,13 +501,11 @@ mod tests {
         let dir = tmpdir("pm1");
         for delta in [-1isize, 1] {
             let p = resized_frame(&dir, delta);
-            for res in [read_raw(&p), read_frame(&p)] {
-                match res {
-                    Err(IoError::SizeMismatch { expected, got }) => {
-                        assert_eq!((expected as isize, got as isize), (32, 32 + delta));
-                    }
-                    other => panic!("delta {delta}: expected SizeMismatch, got {other:?}"),
+            match read_frame(&p) {
+                Err(IoError::SizeMismatch { expected, got }) => {
+                    assert_eq!((expected as isize, got as isize), (32, 32 + delta));
                 }
+                other => panic!("delta {delta}: expected SizeMismatch, got {other:?}"),
             }
         }
 
@@ -633,7 +638,7 @@ mod tests {
         write_raw(&p, &v, &meta).unwrap();
         meta.dtype = "u8".to_string();
         std::fs::write(sidecar_path(&p), serde_json::to_string(&meta).unwrap()).unwrap();
-        assert!(matches!(read_raw(&p), Err(IoError::UnsupportedDtype(_))));
+        assert!(matches!(read_frame(&p), Err(IoError::UnsupportedDtype(_))));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -706,7 +711,7 @@ mod tests {
     #[test]
     fn missing_file_is_io_error() {
         let p = PathBuf::from("/nonexistent/ifet/v.raw");
-        assert!(matches!(read_raw(&p), Err(IoError::Io(_))));
+        assert!(matches!(read_frame(&p), Err(IoError::Io(_))));
     }
 
     #[test]
@@ -722,8 +727,6 @@ mod tests {
         for (a, b) in v.as_slice().iter().zip(back.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // The strict raw reader refuses the compressed flavor.
-        assert!(matches!(read_raw(&p), Err(IoError::UnsupportedDtype(_))));
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -69,13 +69,9 @@ impl MultiVolume {
         &self.vars[i]
     }
 
-    /// All variable values at one voxel, in insertion order. This is the raw
-    /// multivariate sample fed to per-voxel feature vectors.
-    pub fn values_at(&self, x: usize, y: usize, z: usize) -> Vec<f32> {
-        self.vars.iter().map(|v| *v.get(x, y, z)).collect()
-    }
-
-    /// Same, appended to a reusable buffer (avoids per-voxel allocation).
+    /// All variable values at one voxel, in insertion order, appended to a
+    /// reusable buffer. This is the raw multivariate sample fed to per-voxel
+    /// feature vectors.
     pub fn values_at_into(&self, x: usize, y: usize, z: usize, out: &mut Vec<f32>) {
         for v in &self.vars {
             out.push(*v.get(x, y, z));
@@ -223,7 +219,6 @@ mod tests {
     #[test]
     fn values_at_order() {
         let m = mv();
-        assert_eq!(m.values_at(2, 0, 0), vec![2.0, 2.0]);
         let mut buf = vec![9.0];
         m.values_at_into(1, 0, 0, &mut buf);
         assert_eq!(buf, vec![9.0, 1.0, 2.0]);

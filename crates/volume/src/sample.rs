@@ -134,12 +134,6 @@ pub fn gradient_at(vol: &ScalarVolume, x: usize, y: usize, z: usize) -> [f32; 3]
     [gx, gy, gz]
 }
 
-/// Central-difference gradient of `vol` at continuous coordinates (see
-/// [`SampleView::gradient`]).
-pub fn gradient_trilinear(vol: &ScalarVolume, x: f32, y: f32, z: f32) -> [f32; 3] {
-    SampleView::new(vol).gradient(x, y, z)
-}
-
 /// Gradient-magnitude volume: `|∇f|` at every voxel (central differences,
 /// clamped boundaries) — the second axis of Kindlmann-style 2D transfer
 /// functions.
@@ -210,7 +204,7 @@ mod tests {
     fn gradient_trilinear_matches_integer_gradient_interior() {
         let v = linear_field();
         let gi = gradient_at(&v, 4, 4, 4);
-        let gc = gradient_trilinear(&v, 4.0, 4.0, 4.0);
+        let gc = SampleView::new(&v).gradient(4.0, 4.0, 4.0);
         for k in 0..3 {
             assert!((gi[k] - gc[k]).abs() < 1e-4);
         }

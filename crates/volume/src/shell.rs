@@ -221,27 +221,6 @@ fn canonical_nan(v: f32) -> f32 {
     }
 }
 
-/// Derive a data-dependent shell radius from selected feature voxels, per the
-/// paper: the distance is "derived according to the characteristics of the
-/// selected features so far". We use half the mean pairwise bounding-box
-/// extent of the selection, clamped to `[1, max_radius]`.
-pub fn derive_radius(selected: &[(usize, usize, usize)], max_radius: f32) -> f32 {
-    if selected.is_empty() {
-        return 1.0;
-    }
-    let mut lo = [usize::MAX; 3];
-    let mut hi = [0usize; 3];
-    for &(x, y, z) in selected {
-        let c = [x, y, z];
-        for k in 0..3 {
-            lo[k] = lo[k].min(c[k]);
-            hi[k] = hi[k].max(c[k]);
-        }
-    }
-    let mean_extent = ((hi[0] - lo[0]) + (hi[1] - lo[1]) + (hi[2] - lo[2])) as f32 / 3.0;
-    (mean_extent * 0.5).clamp(1.0, max_radius.max(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,21 +296,5 @@ mod tests {
         let outside = s.sample_stats(&v, 1, 1, 1);
         assert!(inside[0] < 0.5); // shell at r=4 around center is outside ball
         assert_eq!(outside[0], 0.0);
-    }
-
-    #[test]
-    fn derive_radius_scales_with_selection_extent() {
-        let small: Vec<_> = (0..3).map(|i| (i, 0usize, 0usize)).collect();
-        let large: Vec<_> = (0..20).map(|i| (i, i, i)).collect();
-        let rs = derive_radius(&small, 16.0);
-        let rl = derive_radius(&large, 16.0);
-        assert!(rl > rs);
-        assert!(rs >= 1.0);
-        assert!(rl <= 16.0);
-    }
-
-    #[test]
-    fn derive_radius_empty_selection() {
-        assert_eq!(derive_radius(&[], 8.0), 1.0);
     }
 }

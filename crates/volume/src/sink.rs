@@ -10,7 +10,7 @@
 //! [`OutOfCoreSeries`] without rewriting anything.
 
 use crate::dims::Dims3;
-use crate::io::{write_compressed, write_raw, IoError, VolumeMeta};
+use crate::io::{write_series_frame, IoError};
 use crate::ooc::{CacheBudgetHandle, OutOfCoreSeries};
 use crate::series::{SeriesError, TimeSeries};
 use crate::volume::ScalarVolume;
@@ -151,15 +151,7 @@ impl FrameSink for OutOfCoreSink {
                 return Err(SeriesError::NonIncreasingStep { last, next: t });
             }
         }
-        let ext = if self.compress { "rawz" } else { "raw" };
-        let p = self.dir.join(format!("{}_t{t:05}.{ext}", self.prefix));
-        let mut meta = VolumeMeta::new(vol.dims());
-        meta.step = Some(t);
-        if self.compress {
-            write_compressed(&p, &vol, &meta)?;
-        } else {
-            write_raw(&p, &vol, &meta)?;
-        }
+        let p = write_series_frame(&self.dir, &self.prefix, t, &vol, self.compress)?;
         self.dims = Some(vol.dims());
         self.last_step = Some(t);
         self.paths.push(p);

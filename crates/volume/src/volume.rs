@@ -75,11 +75,6 @@ impl<T> Volume<T> {
         &mut self.data
     }
 
-    /// Consume into the raw buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     #[inline]
     pub fn get(&self, x: usize, y: usize, z: usize) -> &T {
         &self.as_slice()[self.dims.index(x, y, z)]

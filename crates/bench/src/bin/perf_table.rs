@@ -11,10 +11,29 @@
 //! lower; the *shape* to check: IATF generation is a negligible fraction of
 //! a frame, the overlay costs a moderate constant factor, and data-space
 //! classification is orders slower than TF rendering.
+//!
+//! Each row reports the median of [`CALLS`] timed calls, so one noisy call
+//! on a shared host does not decide a shape check.
 
 use ifet_bench::{header, row, timed};
 use ifet_core::prelude::*;
 use ifet_sim::shock_bubble::{ring_value_band, shock_bubble_with, ShockBubbleParams};
+
+/// Timed calls per row.
+const CALLS: usize = 5;
+
+/// The last call's result and the median seconds of [`CALLS`] calls of `f`.
+fn median_timed<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut secs = Vec::with_capacity(CALLS);
+    let mut out = None;
+    for _ in 0..CALLS {
+        let (o, s) = timed(&mut f);
+        out = Some(o);
+        secs.push(s);
+    }
+    secs.sort_by(f64::total_cmp);
+    (out.expect("CALLS > 0"), secs[CALLS / 2])
+}
 
 fn main() {
     let (n, wh) = if ifet_bench::quick() {
@@ -42,7 +61,7 @@ fn main() {
     let t_mid = 225;
     let frame = data.series.frame_at_step(t_mid).unwrap().clone();
     let iatf = session.iatf().unwrap().clone();
-    let (tf, gen_s) = timed(|| iatf.generate(t_mid, &frame));
+    let (tf, gen_s) = median_timed(|| iatf.generate(t_mid, &frame));
     row(&[
         "IATF table generation (per frame)".into(),
         format!("{:.4} s", gen_s),
@@ -51,7 +70,7 @@ fn main() {
     ]);
 
     // 2. DVR with per-frame IATF recomputation + shading.
-    let (img, render_s) = timed(|| {
+    let (img, render_s) = median_timed(|| {
         let tf = iatf.generate(t_mid, &frame); // recalculated every frame
         session.render_with_tf(t_mid, &tf, wh, wh)
     });
@@ -64,7 +83,7 @@ fn main() {
 
     // 3. Tracking-overlay rendering (multi-pass equivalent).
     let tracked = session.extract_with_tf(t_mid, &tf, 0.5);
-    let (_, overlay_s) = timed(|| session.render_tracked(t_mid, &tracked, &tf, &tf, wh, wh));
+    let (_, overlay_s) = median_timed(|| session.render_tracked(t_mid, &tracked, &tf, &tf, wh, wh));
     row(&[
         "DVR + tracking overlay".into(),
         format!("{:.3} s/frame", overlay_s),
@@ -80,7 +99,7 @@ fn main() {
     s2.add_paints(paints).unwrap();
     s2.train_classifier(FeatureSpec::default(), ClassifierParams::default())
         .expect("training failed");
-    let (_, classify_s) = timed(|| s2.extract_data_space(t_mid, 0.5).unwrap().unwrap());
+    let (_, classify_s) = median_timed(|| s2.extract_data_space(t_mid, 0.5).unwrap().unwrap());
     row(&[
         format!("data-space classification ({n}^3)"),
         format!("{:.2} s", classify_s),

@@ -32,9 +32,8 @@ pub(crate) fn cmd_track(args: &Args) -> Result<String, String> {
         } else if let Some(path) = args.opt("iatf") {
             let iatf = load_iatf(path)?;
             let tau: f32 = args.opt_parse("tau", 0.5f32)?;
-            let tfs = map_frames_windowed(series, |_, t, frame| iatf.generate(t, frame))
+            let criterion = adaptive_tables(series, tau, |t, frame| iatf.generate(t, frame))
                 .map_err(|e| failed(&e))?;
-            let criterion = AdaptiveTfCriterion::new(tfs, tau).map_err(|e| failed(&e))?;
             return grow_4d(series, &criterion, &seeds).map_err(|e| failed(&e));
         } else if let Some(band) = args.opt("band") {
             let (lo, hi) = parse_band(band)?;

@@ -78,9 +78,9 @@ pub mod prelude {
     pub use ifet_sim::LabeledSeries;
     pub use ifet_tf::{ColorMap, Iatf, IatfBuilder, IatfParams, TransferFunction1D};
     pub use ifet_track::{
-        events_from_labelings, extract_tracks, extract_tracks_from_parts, grow_4d, label_masks,
-        track_events, AdaptiveTfCriterion, FeatureAttributes, FixedBandCriterion, GrowError,
-        MaskCriterion, Seed4, Track, TrackEnding, TrackSet,
+        adaptive_tables, events_from_labelings, extract_tracks, extract_tracks_from_parts, grow_4d,
+        label_masks, track_events, AdaptiveTfCriterion, FeatureAttributes, FixedBandCriterion,
+        GrowError, MaskCriterion, Seed4, Track, TrackEnding, TrackSet,
     };
     pub use ifet_volume::{
         CumulativeHistogram, Dims3, Histogram, Mask3, MultiSeries, MultiVolume, OutOfCoreSeries,

@@ -12,8 +12,8 @@ use ifet_obs as obs;
 use ifet_render::{render_tracking_overlay, Camera, Image, Renderer};
 use ifet_tf::{ColorMap, Iatf, IatfBuilder, IatfParams, TransferFunction1D};
 use ifet_track::{
-    grow_4d, track_events, AdaptiveTfCriterion, CriterionError, FixedBandCriterion, GrowCheckpoint,
-    GrowError, Grower, GrowthCriterion, MaskCriterion, Seed4, TrackReport,
+    adaptive_tables, grow_4d, track_events, CriterionError, FixedBandCriterion, GrowCheckpoint,
+    GrowError, Grower, GrowthCriterion, MaskCriterion, ResolveError, Seed4, TrackReport,
 };
 use ifet_volume::{map_frames_windowed, FrameHandle, FrameSource, Mask3, TimeSeries};
 use serde::{Deserialize, Serialize};
@@ -130,6 +130,15 @@ impl From<ifet_volume::SeriesError> for SessionError {
     fn from(e: ifet_volume::SeriesError) -> Self {
         SessionError::Series {
             reason: e.to_string(),
+        }
+    }
+}
+
+impl From<ResolveError> for SessionError {
+    fn from(e: ResolveError) -> Self {
+        match e {
+            ResolveError::Criterion(e) => e.into(),
+            ResolveError::Source(e) => e.into(),
         }
     }
 }
@@ -436,6 +445,11 @@ impl<S: FrameSource> VisSession<S> {
     }
 
     /// Materialize a [`CriterionSpec`] against the session's current state.
+    ///
+    /// The adaptive and data-space criteria come back holding every frame's
+    /// acceptance table, built in the one pass over the series that
+    /// generates each frame's TF or certainty, so growing under them pages
+    /// no frame again.
     pub fn resolve_criterion(
         &self,
         spec: &CriterionSpec,
@@ -448,8 +462,9 @@ impl<S: FrameSource> VisSession<S> {
             )?)),
             CriterionSpec::AdaptiveTf { tau } => {
                 let iatf = self.iatf.as_ref().ok_or(SessionError::NoIatf)?;
-                let tfs = map_frames_windowed(&self.series, |_, t, frame| iatf.generate(t, frame))?;
-                Ok(Box::new(AdaptiveTfCriterion::new(tfs, *tau)?))
+                let criterion =
+                    adaptive_tables(&self.series, *tau, |t, frame| iatf.generate(t, frame))?;
+                Ok(Box::new(criterion))
             }
             CriterionSpec::DataSpace { tau } => {
                 let clf = self.classifier.as_ref().ok_or(SessionError::NoClassifier)?;
@@ -804,9 +819,13 @@ mod tests {
             .unwrap();
         let via_spec = requests(&sess);
         assert_eq!(adaptive.masks, spec.masks);
-        assert!(
-            via_adaptive <= via_spec,
-            "track_adaptive requested {via_adaptive} frames, track_spec {via_spec}"
+        // One pass builds every frame's TF and acceptance table; the grower
+        // adopts the tables without paging again.
+        assert_eq!(via_spec, s.len(), "track_spec requested {via_spec} frames");
+        assert_eq!(
+            via_adaptive,
+            s.len(),
+            "track_adaptive requested {via_adaptive}"
         );
     }
 

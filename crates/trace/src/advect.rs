@@ -99,8 +99,8 @@ impl PathlineSet {
 /// Velocity at an arbitrary point inside one frame interval: trilinear in
 /// space per component, linear in time between the bracketing frames.
 struct PairSampler<'a> {
-    lo: [&'a ScalarVolume; 3],
-    hi: [&'a ScalarVolume; 3],
+    lo: [&'a [f32]; 3],
+    hi: [&'a [f32]; 3],
     t0: f64,
     inv_span: f64,
     dims: Dims3,
@@ -109,40 +109,43 @@ struct PairSampler<'a> {
 impl<'a> PairSampler<'a> {
     fn new(lo: [&'a ScalarVolume; 3], hi: [&'a ScalarVolume; 3], t0: f64, t1: f64) -> Self {
         Self {
-            lo,
-            hi,
+            lo: lo.map(ScalarVolume::as_slice),
+            hi: hi.map(ScalarVolume::as_slice),
             t0,
             inv_span: 1.0 / (t1 - t0),
             dims: lo[0].dims(),
         }
     }
 
+    /// The six component frames share one grid, so the cell (computed in
+    /// `f64` and clamped to the domain, matching
+    /// [`ifet_volume::VectorVolume::trilinear`]'s boundary policy) and its
+    /// four row offsets are found once per sample.
     fn velocity(&self, p: [f64; 3], t: f64) -> [f64; 3] {
         let a = ((t - self.t0) * self.inv_span).clamp(0.0, 1.0);
+        let Dims3 { nx, ny, nz } = self.dims;
+        let (x0, x1, fx) = axis_cell_f64(p[0], nx);
+        let (y0, y1, fy) = axis_cell_f64(p[1], ny);
+        let (z0, z1, fz) = axis_cell_f64(p[2], nz);
+        let row = |y: usize, z: usize| nx * (y + ny * z);
+        let (r00, r10, r01, r11) = (row(y0, z0), row(y1, z0), row(y0, z1), row(y1, z1));
+        let lerp = |lo: f64, hi: f64, f: f64| lo + (hi - lo) * f;
+        let trilinear = |d: &[f32]| {
+            let at = |r: usize, x: usize| d[r + x] as f64;
+            let c00 = lerp(at(r00, x0), at(r00, x1), fx);
+            let c10 = lerp(at(r10, x0), at(r10, x1), fx);
+            let c01 = lerp(at(r01, x0), at(r01, x1), fx);
+            let c11 = lerp(at(r11, x0), at(r11, x1), fx);
+            lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz)
+        };
         let mut v = [0.0; 3];
         for (k, vk) in v.iter_mut().enumerate() {
-            let early = trilinear64(self.lo[k], self.dims, p);
-            let late = trilinear64(self.hi[k], self.dims, p);
+            let early = trilinear(self.lo[k]);
+            let late = trilinear(self.hi[k]);
             *vk = early + (late - early) * a;
         }
         v
     }
-}
-
-/// Trilinear sample of a scalar frame at a fractional voxel position,
-/// computed in `f64` and clamped to the domain (matching
-/// [`ifet_volume::VectorVolume::trilinear`]'s boundary policy).
-fn trilinear64(vol: &ScalarVolume, d: Dims3, p: [f64; 3]) -> f64 {
-    let (x0, x1, fx) = axis_cell_f64(p[0], d.nx);
-    let (y0, y1, fy) = axis_cell_f64(p[1], d.ny);
-    let (z0, z1, fz) = axis_cell_f64(p[2], d.nz);
-    let at = |x: usize, y: usize, z: usize| *vol.get(x, y, z) as f64;
-    let lerp = |a: f64, b: f64, t: f64| a + (b - a) * t;
-    let c00 = lerp(at(x0, y0, z0), at(x1, y0, z0), fx);
-    let c10 = lerp(at(x0, y1, z0), at(x1, y1, z0), fx);
-    let c01 = lerp(at(x0, y0, z1), at(x1, y0, z1), fx);
-    let c11 = lerp(at(x0, y1, z1), at(x1, y1, z1), fx);
-    lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz)
 }
 
 /// Per-particle integration state while the series streams past.

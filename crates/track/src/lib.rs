@@ -33,7 +33,8 @@ pub mod tracks;
 pub use attributes::FeatureAttributes;
 pub use components::{label_masks, ComponentLabels};
 pub use criterion::{
-    AdaptiveTfCriterion, CriterionError, FixedBandCriterion, GrowthCriterion, MaskCriterion,
+    adaptive_tables, AdaptiveTfCriterion, CriterionError, FixedBandCriterion, GrowthCriterion,
+    MaskCriterion, ResolveError,
 };
 pub use events::{events_from_labelings, track_events, Event, EventKind, TrackReport};
 pub use region_grow::{grow_4d, grow_4d_serial, GrowCheckpoint, GrowError, Grower, Seed4};

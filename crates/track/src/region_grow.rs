@@ -13,9 +13,10 @@
 //!   Each round walks the frames in ascending order: a frame's spatial
 //!   discoveries join its next frontier, its temporal proposals join one
 //!   shared list that is resolved after the last frame. Criterion queries hit
-//!   per-frame acceptance tables precomputed once via
-//!   [`GrowthCriterion::precompute_frame`]. Round boundaries are resumable
-//!   checkpoints.
+//!   per-frame acceptance tables: the criterion's resident
+//!   [`GrowthCriterion::tables`] when it holds them, else tables precomputed
+//!   once via [`GrowthCriterion::precompute_frame`]. Round boundaries are
+//!   resumable checkpoints.
 //! * [`grow_4d_serial`] — the reference the tests compare against: a single
 //!   FIFO queue, criterion evaluated through `accept` at every visited edge.
 //!
@@ -44,6 +45,13 @@ pub enum GrowError {
     SeedFrameOutOfRange { seed: Seed4, frames: usize },
     /// A seed's spatial coordinate lies outside the volume.
     SeedOutOfBounds { seed: Seed4, dims: Dims3 },
+    /// A resident acceptance table (see [`GrowthCriterion::tables`]) has
+    /// other dims than the series.
+    TableDimsMismatch {
+        frame: usize,
+        table: Dims3,
+        series: Dims3,
+    },
     /// A [`GrowCheckpoint`] is inconsistent with the series it is resumed
     /// against (wrong frame count, wrong dims, or out-of-range frontier
     /// indices) — typically a corrupted or mismatched session artifact.
@@ -80,6 +88,14 @@ impl std::fmt::Display for GrowError {
                 "seed ({}, {}, {}) out of bounds for volume {dims}",
                 seed.1, seed.2, seed.3
             ),
+            Self::TableDimsMismatch {
+                frame,
+                table,
+                series,
+            } => write!(
+                f,
+                "acceptance table of frame {frame} is {table}, series frames are {series}"
+            ),
             Self::BadCheckpoint { reason } => write!(f, "bad grow checkpoint: {reason}"),
             Self::Source { reason } => write!(f, "frame source failed: {reason}"),
         }
@@ -100,6 +116,14 @@ fn validate<S: FrameSource + ?Sized>(
         });
     }
     let d = series.dims();
+    let tables = criterion.tables().unwrap_or_default();
+    if let Some((frame, t)) = tables.iter().enumerate().find(|(_, t)| t.dims() != d) {
+        return Err(GrowError::TableDimsMismatch {
+            frame,
+            table: t.dims(),
+            series: d,
+        });
+    }
     for &seed in seeds {
         let (fi, x, y, z) = seed;
         if fi >= series.len() {
@@ -179,14 +203,19 @@ impl Grower {
     ) -> Result<Vec<Mask3>, GrowError> {
         let _span = obs::span("track.precompute_tables");
         obs::counter("frames", series.len() as u64);
-        // Each table depends only on its own frame, so frames stream through
-        // in ascending order through residency-bounded windows: one full
-        // parallel pass for in-core sources, cache-capacity-sized windows for
-        // paged ones. Acceptance tables (1 bit/voxel) stay resident; raw
-        // frames do not. After this, the criterion is never consulted again.
-        let tables: Vec<Mask3> = map_frames_windowed(series, |fi, _t, frame| {
-            criterion.precompute_frame(fi, frame)
-        })?;
+        // Tables the criterion already holds (checked by `validate`) are
+        // adopted without paging a frame. Otherwise each table depends only
+        // on its own frame, so frames stream through in ascending order
+        // through residency-bounded windows: one full parallel pass for
+        // in-core sources, cache-capacity-sized windows for paged ones.
+        // Acceptance tables (1 bit/voxel) stay resident; raw frames do not.
+        // After this, the criterion is never consulted again.
+        let tables: Vec<Mask3> = match criterion.tables() {
+            Some(tables) => tables.to_vec(),
+            None => map_frames_windowed(series, |fi, _t, frame| {
+                criterion.precompute_frame(fi, frame)
+            })?,
+        };
         if obs::is_enabled() {
             let acceptance: usize = tables.iter().map(|t| t.count()).sum();
             obs::counter("acceptance_voxels", acceptance as u64);
